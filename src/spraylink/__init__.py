@@ -42,11 +42,9 @@ from .fitting import (
 )
 from .kinetics import (
     KineticsParams,
-    KineticsState,
     bound_concentration,
     free_concentration,
     peak_time,
-    solve_kinetics_numeric,
 )
 from .sensor import (
     DETECTION_SCOPE,

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MeasurementError, ParseError, ValidationError
+from .errors import MeasurementError, ValidationError
 from .sensor import _divider_resistance
+from .traceio import read_columns
 
 
 @dataclass(frozen=True)
@@ -85,38 +86,6 @@ def reference_resistance(eout_ref: float, ein: float, rl: float) -> float:
 
 
 def load_mass_measurements(path) -> list[MassMeasurement]:
-    """Read a CSV `mass_before_kg,mass_after_kg,dt_s` (header required).
-
-    Lines starting with '#' are skipped.
-    """
-    header = ["mass_before_kg", "mass_after_kg", "dt_s"]
-    out = []
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if not header_seen:
-                cols = [c.strip() for c in text.split(",")]
-                if cols != header:
-                    raise ParseError(
-                        f"expected header '{','.join(header)}', got {text!r}",
-                        path=path,
-                        line=line_no,
-                    )
-                header_seen = True
-                continue
-            parts = text.split(",")
-            if len(parts) != 3:
-                raise ParseError(
-                    f"expected 3 columns, got {len(parts)}", path=path, line=line_no
-                )
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", path=path, line=line_no) from exc
-            out.append(MassMeasurement(*vals))
-    if not header_seen:
-        raise ParseError("missing header", path=path)
-    return out
+    """Read a CSV `mass_before_kg,mass_after_kg,dt_s` (rules of traceio.read_columns)."""
+    columns = read_columns(path, "mass_before_kg,mass_after_kg,dt_s")
+    return [MassMeasurement(*row) for row in zip(*(c.tolist() for c in columns))]

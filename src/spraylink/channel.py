@@ -158,21 +158,8 @@ def impulse_response(
     s: float,
     t: float,
 ) -> float:
-    """End-to-end voltage at time t after a short spray emission, V.
-
-    Composes initial_concentration -> bound_concentration -> sensitivity ->
-    voltage_from_sensitivity, with the continuous limit 0 V where the
-    adhered concentration vanishes (t = 0, t -> infinity). t is time
-    elapsed after the propagation delay; the trace pipeline handles that
-    alignment.
-    """
-    c0 = initial_concentration(tx, s)
-    b = kin_mod.bound_concentration(c0, kin, t)
-    if b <= 0.0:
-        return 0.0
-    return sensor_mod.voltage_from_sensitivity(
-        sensor_mod.sensitivity(b, sensor.sens), sensor
-    )
+    """End-to-end voltage at one time t, V: response_voltages at a single sample."""
+    return float(response_voltages(tx, kin, sensor, s, np.array([t]))[0])
 
 
 def response_voltages(
@@ -182,7 +169,14 @@ def response_voltages(
     s: float,
     times: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized impulse_response over an array of times."""
+    """End-to-end voltage at each time after a short spray emission, V.
+
+    Composes initial_concentration -> bound_concentration -> sensitivity ->
+    voltage_from_sensitivity, with the continuous limit 0 V where the
+    adhered concentration vanishes (t = 0, t -> infinity). Times are
+    elapsed after the propagation delay; the trace pipeline handles that
+    alignment.
+    """
     c0 = initial_concentration(tx, s)
     b = kin_mod.bound_concentration(c0, kin, np.asarray(times, dtype=float))
     b = np.atleast_1d(b)

@@ -36,6 +36,9 @@ EXIT_NO_SIGNAL = 3
 EXIT_LOW_CONFIDENCE = 4
 EXIT_IO = 5
 
+# Upper bound on simulate's t-end / dt, checked before any array is allocated.
+MAX_SIMULATE_STEPS = 10_000_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -100,7 +103,12 @@ def _cmd_simulate(cfg, args) -> int:
         raise ValidationError(f"t-end must be >= 0, got {args.t_end!r}")
     if args.noise < 0.0:
         raise ValidationError(f"noise sigma must be >= 0, got {args.noise!r}")
-    n = int(round(args.t_end / args.dt))
+    steps = args.t_end / args.dt
+    if not steps <= MAX_SIMULATE_STEPS:
+        raise ValidationError(
+            f"t-end / dt must be at most {MAX_SIMULATE_STEPS} steps, got {steps:.6g}"
+        )
+    n = int(round(steps))
     times = np.arange(n + 1) * args.dt
     trace = channel.sample_response(tx, kin, cfg.sensor, args.s, times)
     if args.noise > 0.0:
@@ -199,7 +207,7 @@ def _cmd_trend(cfg, args) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ParseError(f"bad JSON: {exc}", path=path) from exc
         try:
             est = fitting.ChannelEstimate(

@@ -3,8 +3,9 @@
 Every section and key is optional; anything missing falls back to the
 bench parameter set below (flow rate 2.204e-6 m^3/s, emission 0.5 s,
 ethanol density 789 kg/m^3, half-beamwidth 38 degrees, 5 V supply, 1 kOhm
-load, 24 kOhm reference resistance, distances 0.9..1.2 m). Angles are
-degrees in the file and radians everywhere else.
+load, 24 kOhm reference resistance). Angles are degrees in the file and
+radians everywhere else. Keys this module does not read are ignored. A
+file that is not UTF-8 INI text raises ParseError.
 
 Example file:
 
@@ -23,21 +24,16 @@ Example file:
     b = -0.5855
     c = -0.0743
 
-    [link]
-    distances_m = 0.9, 1.0, 1.1, 1.2
-
     [search]
     k_min = 0.05
     k_max = 50
+    gamma_min = 1
     gamma_max = 25
     k_grid = 16
     gamma_grid = 8
     refine_top = 5
     mse_threshold = 0.021
-    seed = 0
-
-    [io]
-    out_dir = .
+    flat_floor_v = 0.001
 
 The SPRAYLINK_CONFIG environment variable supplies a default path when the
 CLI is invoked without --config.
@@ -51,13 +47,11 @@ import os
 from dataclasses import dataclass
 
 from .channel import TransmitterSpec
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .fitting import SearchConfig
 from .sensor import MQ3_SENSITIVITY, SensitivityCoeffs, SensorSpec
 
 CONFIG_ENV_VAR = "SPRAYLINK_CONFIG"
-
-DEFAULT_DISTANCES_M = (0.9, 1.0, 1.1, 1.2)
 
 
 def default_transmitter() -> TransmitterSpec:
@@ -76,18 +70,14 @@ class RunConfig:
 
     transmitter: TransmitterSpec
     sensor: SensorSpec
-    distances: tuple
     search: SearchConfig
-    out_dir: str = "."
 
 
 def default_config() -> RunConfig:
     return RunConfig(
         transmitter=default_transmitter(),
         sensor=default_sensor(),
-        distances=DEFAULT_DISTANCES_M,
         search=SearchConfig(),
-        out_dir=".",
     )
 
 
@@ -99,10 +89,6 @@ def _get(parser, section, key, cast, fallback):
         return cast(raw)
     except ValueError as exc:
         raise ValidationError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-
-def _float_list(raw: str) -> tuple:
-    return tuple(float(part) for part in raw.replace(",", " ").split())
 
 
 def load_config(path=None) -> RunConfig:
@@ -118,8 +104,17 @@ def load_config(path=None) -> RunConfig:
     if not os.path.exists(path):
         raise ValidationError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        # Values are read lazily, so interpolation errors surface here too.
+        return _from_parser(parser)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        message = " ".join(str(exc).split())
+        raise ParseError(f"invalid config: {message}", path=path) from exc
 
+
+def _from_parser(parser) -> RunConfig:
     tx_default = default_transmitter()
     transmitter = TransmitterSpec(
         q=_get(parser, "transmitter", "q_m3_per_s", float, tx_default.q),
@@ -143,9 +138,6 @@ def load_config(path=None) -> RunConfig:
         ro=_get(parser, "sensor", "ro_ohm", float, sensor_default.ro),
         sens=sens,
     )
-    distances = _get(parser, "link", "distances_m", _float_list, DEFAULT_DISTANCES_M)
-    if not distances or any(not (math.isfinite(s) and s > 0.0) for s in distances):
-        raise ValidationError(f"[link] distances_m must be positive, got {distances!r}")
     sc = SearchConfig()
     search = SearchConfig(
         k_min=_get(parser, "search", "k_min", float, sc.k_min),
@@ -157,13 +149,5 @@ def load_config(path=None) -> RunConfig:
         refine_top=_get(parser, "search", "refine_top", int, sc.refine_top),
         mse_threshold=_get(parser, "search", "mse_threshold", float, sc.mse_threshold),
         flat_floor_v=_get(parser, "search", "flat_floor_v", float, sc.flat_floor_v),
-        seed=_get(parser, "search", "seed", int, sc.seed),
     )
-    out_dir = _get(parser, "io", "out_dir", str, ".")
-    return RunConfig(
-        transmitter=transmitter,
-        sensor=sensor,
-        distances=distances,
-        search=search,
-        out_dir=out_dir,
-    )
+    return RunConfig(transmitter=transmitter, sensor=sensor, search=search)

@@ -154,7 +154,6 @@ class SearchConfig:
     refine_top: int = 5
     mse_threshold: float = 0.021
     flat_floor_v: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.k_min < self.k_max):

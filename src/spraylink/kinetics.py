@@ -45,17 +45,6 @@ class KineticsParams:
                 raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
 
 
-@dataclass(frozen=True)
-class KineticsState:
-    """Concentrations at time t: free droplets c, adhered complex b, and the
-    detached (no longer sensed) mass z accumulated as the integral of k2*b."""
-
-    t: float
-    c: float
-    b: float
-    z: float = 0.0
-
-
 def _as_time_array(t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
@@ -168,18 +157,3 @@ def rk4_trajectory(c0: float, kin: KineticsParams, t_end: float, dt: float):
         z += h / 6.0 * (dz1 + 2.0 * dz2 + 2.0 * dz3 + dz4)
         cs[i], bs[i], zs[i] = c, b, z
     return t, cs, bs, zs
-
-
-def solve_kinetics_numeric(
-    c0: float, kin: KineticsParams, t_end: float, dt: float
-) -> list[KineticsState]:
-    """RK4 trajectory of the reaction system as a list of KineticsState.
-
-    t_end is rounded to a whole number of steps of size dt. Intended for
-    validating the analytic solutions, not for production evaluation.
-    """
-    t, cs, bs, zs = rk4_trajectory(c0, kin, t_end, dt)
-    return [
-        KineticsState(t=float(ti), c=float(ci), b=float(bi), z=float(zi))
-        for ti, ci, bi, zi in zip(t, cs, bs, zs)
-    ]

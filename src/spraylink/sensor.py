@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfCalibrationError, ParseError, ValidationError
+from .errors import OutOfCalibrationError, ValidationError
+from .traceio import read_columns
 
 # Concentration range the sensor is specified for, kg/m^3. Values outside
 # are evaluated as-is (never clamped); use in_detection_scope to flag them.
@@ -173,41 +174,8 @@ class SensitivityTable:
 
 
 def load_sensitivity_table(path) -> SensitivityTable:
-    """Read a two-column CSV `concentration_kg_m3,rs_over_ro` (header required).
-
-    Lines starting with '#' are comments and are skipped.
-    """
-    conc, rat = [], []
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if not header_seen:
-                cols = [c.strip() for c in text.split(",")]
-                if cols != ["concentration_kg_m3", "rs_over_ro"]:
-                    raise ParseError(
-                        "expected header 'concentration_kg_m3,rs_over_ro', "
-                        f"got {text!r}",
-                        path=path,
-                        line=line_no,
-                    )
-                header_seen = True
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ParseError(
-                    f"expected 2 columns, got {len(parts)}", path=path, line=line_no
-                )
-            try:
-                conc.append(float(parts[0]))
-                rat.append(float(parts[1]))
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", path=path, line=line_no) from exc
-    if not header_seen:
-        raise ParseError("missing header", path=path)
-    return SensitivityTable(np.array(conc), np.array(rat))
+    """Read a CSV `concentration_kg_m3,rs_over_ro` (rules of traceio.read_columns)."""
+    return SensitivityTable(*read_columns(path, "concentration_kg_m3,rs_over_ro"))
 
 
 def bundled_sensitivity_table() -> SensitivityTable:

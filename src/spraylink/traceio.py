@@ -5,9 +5,8 @@ a metadata dict. Preprocessing aligns the time axis to a start time t0,
 removes the offset voltage observed at t0, and truncates everything before
 it, so that a prepared trace starts at (0 s, 0 V).
 
-File format: CSV with the exact header `time_s,voltage_v`; lines starting
-with '#' are comments; values use a decimal point and no thousands
-separators.
+File format: CSV with the exact header `time_s,voltage_v`, read by
+read_columns, the one reader of every CSV input of the package.
 """
 
 from __future__ import annotations
@@ -79,38 +78,87 @@ def store_trace(trace: Trace, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_trace(path) -> Trace:
-    """Read a trace CSV written by store_trace (or compatible)."""
-    times, volts = [], []
+# Rows per bulk str -> float cast in read_columns; bounds the list of
+# pending field strings while keeping the per-row Python work small.
+_CHUNK_ROWS = 4096
+
+
+def _to_floats(fields, rows, width, path) -> np.ndarray:
+    """Cast field strings to float64, or raise ParseError at the first bad one.
+
+    numpy's cast parses like float(); float() itself runs only when the
+    bulk cast fails, to find the failing line.
+    """
+    try:
+        return np.array(fields, dtype=float)
+    except ValueError:
+        values = []
+        for i, field_text in enumerate(fields):
+            try:
+                values.append(float(field_text))
+            except ValueError as exc:
+                raise ParseError(
+                    f"bad number: {exc}", path=path, line=rows[i // width]
+                ) from exc
+        return np.array(values)
+
+
+def read_columns(path, header: str) -> tuple[np.ndarray, ...]:
+    """Read a CSV of numbers under an exact header; one float64 array per column.
+
+    Blank lines and lines starting with '#' are skipped anywhere, also
+    before the header. The header's comma-separated names must equal
+    `header` (surrounding spaces ignored). Every later line holds one
+    number per header column, as accepted by float(). Any violation, and
+    text that is not UTF-8, raises ParseError with the path and, where it
+    applies, the 1-based line number.
+    """
+    names = header.split(",")
+    width = len(names)
+    chunks, fields, rows = [], [], []
     header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if not header_seen:
-                cols = [c.strip() for c in text.split(",")]
-                if cols != TRACE_HEADER.split(","):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                parts = text.split(",")
+                if not header_seen:
+                    if [c.strip() for c in parts] != names:
+                        raise ParseError(
+                            f"expected header '{header}', got {text!r}",
+                            path=path,
+                            line=line_no,
+                        )
+                    header_seen = True
+                    continue
+                if len(parts) != width:
+                    # A bad number on an earlier line is reported first.
+                    _to_floats(fields, rows, width, path)
                     raise ParseError(
-                        f"expected header '{TRACE_HEADER}', got {text!r}",
+                        f"expected {width} columns, got {len(parts)}",
                         path=path,
                         line=line_no,
                     )
-                header_seen = True
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ParseError(
-                    f"expected 2 columns, got {len(parts)}", path=path, line=line_no
-                )
-            try:
-                times.append(float(parts[0]))
-                volts.append(float(parts[1]))
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", path=path, line=line_no) from exc
+                fields.extend(parts)
+                rows.append(line_no)
+                if len(rows) == _CHUNK_ROWS:
+                    chunks.append(_to_floats(fields, rows, width, path))
+                    fields.clear()
+                    rows.clear()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from exc
     if not header_seen:
         raise ParseError("missing header", path=path)
-    return Trace(np.array(times), np.array(volts), meta={"source": str(path)})
+    chunks.append(_to_floats(fields, rows, width, path))
+    return tuple(np.concatenate(chunks).reshape(-1, width).T.copy())
+
+
+def load_trace(path) -> Trace:
+    """Read a trace CSV written by store_trace (or compatible)."""
+    times, volts = read_columns(path, TRACE_HEADER)
+    return Trace(times, volts, meta={"source": str(path)})
 
 
 def detect_onset(trace: Trace) -> float:

@@ -236,3 +236,52 @@ def test_config_invalid_value(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert run(["--config", cfg, "simulate", "--k1", 2, "--k2", 0.5, "--s", 1.0,
                 "--out", out]) == EXIT_VALIDATION
+
+
+
+# name: (files to create, argv, exit code); a None file is a directory
+HOSTILE_INPUTS = {
+    "config_no_section": (
+        {"c.ini": b"q_m3_per_s = 1\n"}, ["--config", "c.ini", "fit-sensitivity"], EXIT_IO),
+    "config_duplicate_key": (
+        {"c.ini": b"[transmitter]\nte_s = 1\nte_s = 2\n"},
+        ["--config", "c.ini", "fit-sensitivity"], EXIT_IO),
+    "config_directory": ({"c.ini": None}, ["--config", "c.ini", "fit-sensitivity"], EXIT_IO),
+    "config_bad_interpolation": (
+        {"c.ini": b"[transmitter]\nq_m3_per_s = 5%\n"},
+        ["--config", "c.ini", "fit-sensitivity"], EXIT_IO),
+    "trace_not_utf8": (
+        {"t.csv": b"time_s,voltage_v\n0.0,0.1\xff\n"}, ["estimate", "t.csv", "--s", "1"], EXIT_IO),
+    "table_not_utf8": (
+        {"t.csv": b"concentration_kg_m3,rs_over_ro\n\xfe1e-4,1.5\n"},
+        ["fit-sensitivity", "t.csv"], EXIT_IO),
+    "mass_not_utf8": (
+        {"m.csv": b"mass_before_kg,mass_after_kg,dt_s\n1.0,0.9,0.5 \xff\n"},
+        ["flow-rate", "m.csv"], EXIT_IO),
+    "estimate_not_utf8": (
+        {"est/e.json": b'{"s": 1.0, "k1": "\xff"}'}, ["trend", "est", "--out", "out.csv"], EXIT_IO),
+    "simulate_tiny_dt": (
+        {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--dt", "1e-300",
+             "--out", "out.csv"], EXIT_VALIDATION),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
+def test_hostile_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, name):
+    files, argv, expected = HOSTILE_INPUTS[name]
+    monkeypatch.chdir(tmp_path)
+    for rel, content in files.items():
+        if content is None:
+            (tmp_path / rel).mkdir()
+        else:
+            (tmp_path / rel).parent.mkdir(exist_ok=True)
+            (tmp_path / rel).write_bytes(content)
+
+    # every probe must fail before a single sample array is built
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("np.arange called")
+
+    monkeypatch.setattr(np, "arange", no_allocation)
+    assert main(argv) == expected
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()

@@ -12,7 +12,6 @@ from spraylink.kinetics import (
     free_concentration,
     peak_time,
     rk4_trajectory,
-    solve_kinetics_numeric,
 )
 
 # ln(4)/1.5, the peak time for (k1, k2) = (2, 0.5)
@@ -121,6 +120,22 @@ def test_rk4_matches_analytic_reference_case():
     # mass only leaks toward the detached state
     assert np.all(c >= 0.0) and np.all(b >= 0.0) and np.all(z >= 0.0)
     assert np.all(c + b <= 1.0 + 1e-12)
+    assert (t[0], c[0], b[0], z[0]) == (0.0, 1.0, 0.0, 0.0)
+    # a coarse 0.01 s step still lands within 1e-9 at t = 1 s
+    t, c, b, z = rk4_trajectory(1.0, KineticsParams(2.0, 0.5), 2.0, 0.01)
+    assert t[100] == 1.0
+    assert b[100] == pytest.approx(
+        bound_concentration(1.0, KineticsParams(2.0, 0.5), t[100]), rel=1e-9
+    )
+    # no droplets, nothing adheres: 11 all-zero states
+    t, c, b, z = rk4_trajectory(0.0, KineticsParams(2.0, 0.5), 1.0, 0.1)
+    assert t.size == 11
+    assert not (np.any(c) or np.any(b) or np.any(z))
+    # dt = 0, a negative horizon and a step beyond the horizon are refused
+    kin = KineticsParams(1.0, 1.0)
+    for t_end, dt in ((1.0, 0.0), (-1.0, 0.1), (0.5, 1.0)):
+        with pytest.raises(ValidationError):
+            rk4_trajectory(1.0, kin, t_end, dt)
 
 
 def test_rk4_randomized_sweep():
@@ -140,26 +155,3 @@ def test_rk4_randomized_sweep():
         rel = np.abs(b[mask] - b_exact[mask]) / b_exact[mask]
         assert np.max(rel) < 1e-6, (k1, k2, np.max(rel))
         assert np.max(np.abs(c + b + z - 1.0)) < 1e-8
-
-
-def test_solve_kinetics_numeric_states():
-    states = solve_kinetics_numeric(0.0, KineticsParams(2.0, 0.5), 1.0, 0.1)
-    assert len(states) == 11
-    assert all(s.c == 0.0 and s.b == 0.0 and s.z == 0.0 for s in states)
-
-    states = solve_kinetics_numeric(1.0, KineticsParams(2.0, 0.5), 2.0, 0.01)
-    assert states[0].t == 0.0 and states[0].c == 1.0 and states[0].b == 0.0
-    mid = states[100]
-    assert mid.b == pytest.approx(
-        bound_concentration(1.0, KineticsParams(2.0, 0.5), mid.t), rel=1e-9
-    )
-
-
-def test_solve_kinetics_numeric_validation():
-    kin = KineticsParams(1.0, 1.0)
-    with pytest.raises(ValidationError):
-        solve_kinetics_numeric(1.0, kin, 1.0, 0.0)
-    with pytest.raises(ValidationError):
-        solve_kinetics_numeric(1.0, kin, -1.0, 0.1)
-    with pytest.raises(ValidationError):
-        solve_kinetics_numeric(1.0, kin, 0.5, 1.0)

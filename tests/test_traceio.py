@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from spraylink.calibration import load_mass_measurements
 from spraylink.errors import NoSignalError, ParseError, ValidationError
+from spraylink.sensor import load_sensitivity_table
 from spraylink.traceio import (
     Trace,
     detect_onset,
     load_trace,
     preprocess,
+    read_columns,
     resample,
     store_trace,
 )
@@ -68,6 +71,75 @@ def test_load_trace_files(tmp_path):
     backwards.write_text("time_s,voltage_v\n1.0,0.1\n0.5,0.2\n")
     with pytest.raises(ValidationError):
         load_trace(backwards)
+
+
+# (loader, header, two valid data rows) for every CSV input format
+CSV_FORMATS = [
+    pytest.param(load_trace, "time_s,voltage_v", ["0.0,0.1", "0.5,0.2"], id="trace"),
+    pytest.param(
+        load_sensitivity_table,
+        "concentration_kg_m3,rs_over_ro",
+        ["1e-4,1.5", "2e-4,1.0"],
+        id="sensitivity",
+    ),
+    pytest.param(
+        load_mass_measurements,
+        "mass_before_kg,mass_after_kg,dt_s",
+        ["1.0,0.999,0.5", "0.999,0.998,0.5"],
+        id="mass",
+    ),
+]
+
+
+@pytest.mark.parametrize("load, header, rows", CSV_FORMATS)
+def test_csv_rules_shared_by_every_format(tmp_path, load, header, rows):
+    def write(*lines, tail=b""):
+        path = tmp_path / "in.csv"
+        path.write_bytes("\r\n".join(lines).encode() + b"\r\n" + tail)
+        return path
+
+    # comments and blank lines are skipped, also before the header; CRLF ends
+    assert len(load(write("# before the header", "", header, rows[0], "", "# mid", rows[1]))) == 2
+
+    bad = "nope" + rows[1][rows[1].index(","):]
+    with pytest.raises(ParseError, match="bad number") as err:
+        load(write("# c", header, rows[0], "", bad))
+    assert err.value.line == 5
+
+    with pytest.raises(ParseError, match="columns") as err:
+        load(write(header, rows[0], rows[1] + ",9"))
+    assert err.value.line == 3
+    # the first fault in the file is the one reported
+    with pytest.raises(ParseError, match="bad number") as err:
+        load(write(header, bad, rows[1] + ",9"))
+    assert err.value.line == 2
+
+    with pytest.raises(ParseError, match="missing header"):
+        load(write("# only a comment", ""))
+    with pytest.raises(ParseError, match="expected header") as err:
+        load(write("# c", header.upper(), rows[0]))
+    assert err.value.line == 2
+
+    path = write(header, rows[0], tail=b"\xff\n")
+    with pytest.raises(ParseError, match="UTF-8") as err:
+        load(path)
+    assert err.value.path == path
+
+
+def test_read_columns_across_cast_chunks(tmp_path):
+    path = tmp_path / "long.csv"
+    rows = [f"{i},{i * 0.5!r}" for i in range(10000)]
+    path.write_text("a,b\n" + "\n".join(rows) + "\n")
+    a, b = read_columns(path, "a,b")
+    assert np.array_equal(a, np.arange(10000.0))
+    assert np.array_equal(b, np.arange(10000.0) * 0.5)
+    assert a.flags.c_contiguous and b.flags.c_contiguous
+
+    rows[9000] = "9000,x"
+    path.write_text("a,b\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_columns(path, "a,b")
+    assert err.value.line == 9002
 
 
 def test_preprocess_explicit_t0():
