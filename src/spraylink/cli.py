@@ -217,7 +217,10 @@ def _cmd_trend(cfg, args) -> int:
                 canonical=bool(data.get("canonical", True)),
                 mse=float(data.get("mse", math.nan)),
             )
-            pairs.append((float(data["s"]), est))
+            s = float(data["s"])
+            if not (math.isfinite(s) and s > 0.0):
+                raise ValueError(f"distance s must be finite and > 0, got {s!r}")
+            pairs.append((s, est))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"estimate file is invalid: {exc}", path=path) from exc
     report = fitting.distance_trend(pairs)

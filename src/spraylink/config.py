@@ -5,7 +5,7 @@ bench parameter set below (flow rate 2.204e-6 m^3/s, emission 0.5 s,
 ethanol density 789 kg/m^3, half-beamwidth 38 degrees, 5 V supply, 1 kOhm
 load, 24 kOhm reference resistance). Angles are degrees in the file and
 radians everywhere else. Keys this module does not read are ignored. A
-file that is not UTF-8 INI text raises ParseError.
+missing file, or one that is not UTF-8 INI text, raises ParseError.
 
 Example file:
 
@@ -102,7 +102,7 @@ def load_config(path=None) -> RunConfig:
     if path is None:
         return default_config()
     if not os.path.exists(path):
-        raise ValidationError(f"config file not found: {path}")
+        raise ParseError("config file not found", path=path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -11,6 +11,13 @@ two adapters are:
   measured voltage trace, seeded by a coarse log-spaced grid search and
   refined from the best grid cells.
 
+The grid search factorises the model: B = C0(gamma) * Bhat(k1, k2, t) with
+Bhat the adhered concentration for C0 = 1, so the sensitivity is
+f(B) = a C0^b Bhat^b + c. One Bhat^b row per rate pair then scores every
+gamma node with an affine map and the divider, in bounded blocks. Cells the
+model cannot evaluate (f(B) <= 0 at the peak, or overflowing in the tail)
+are masked out by one check per rate pair, not raised and caught.
+
 The adhesion/detachment model is exactly degenerate under swapping k1 and
 k2 while rescaling gamma (B(t; C0 g, k1, k2) = B(t; C0 g k1/k2, k2, k1)),
 so channel estimates are canonicalized to k1 >= k2.
@@ -26,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel as channel_mod
+from . import kinetics as kin_mod
 from .channel import TransmitterSpec
 from .errors import (
     AlignmentError,
@@ -45,6 +53,10 @@ FD_RELATIVE_STEP = 1e-6
 
 # Jacobian condition estimate above this is reported as rank-deficient.
 RANK_DEFICIENT_COND = 1e8
+
+# Most float64 elements the grid stage scores at once; a longer trace scores
+# fewer gamma nodes per block (at least one), so scratch memory stays flat.
+_GRID_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass
@@ -371,6 +383,65 @@ def canonicalize(k1: float, k2: float, gamma: float, gamma_min: float = 1.0):
     return k1, k2, gamma, False
 
 
+def _grid_cells(
+    measured: Trace,
+    tx: TransmitterSpec,
+    sensor: SensorSpec,
+    s: float,
+    search: SearchConfig,
+) -> np.ndarray:
+    """Score the coarse (k1, k2, gamma) grid against a trace (see module doc).
+
+    Returns one row (mse, k1, k2, gamma) per feasible cell, sorted by MSE,
+    ties broken by the smallest triple. Bhat = 0 gives Bhat^b = inf and so
+    exactly 0 V, the model's B -> 0 limit. A cell is left out where
+    response_voltages would refuse it: a sample with B > 0 has a ratio
+    f(B) <= 0 (as b < 0, at the largest B) or an overflowing one (at the
+    smallest positive B).
+    """
+    sens = sensor.sens
+    k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
+    g_nodes = np.geomspace(search.gamma_min, search.gamma_max, search.gamma_grid)
+    c0 = channel_mod.initial_concentration(dataclasses.replace(tx, gamma=1.0), s) * g_nodes
+    slope = sens.a * c0**sens.b
+    offset = sens.c + sensor.rl / sensor.ro
+    gain = sensor.ein * sensor.rl / sensor.ro
+    times, meas_v = measured.times, measured.volts
+    n = meas_v.size
+    rows = max(1, min(g_nodes.size, _GRID_BLOCK_ELEMENTS // n))
+    block_buf = np.empty((rows, n))
+    scores = np.full((k_nodes.size, k_nodes.size, g_nodes.size), np.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        for i, k1 in enumerate(k_nodes):
+            for j, k2 in enumerate(k_nodes):
+                bhat = kin_mod.bound_concentration(1.0, KineticsParams(k1, k2), times)
+                power = bhat**sens.b
+                ends = np.outer(
+                    c0, (bhat.max(), np.min(bhat, initial=np.inf, where=bhat > 0.0))
+                )
+                ratio = sens.a * ends**sens.b + sens.c
+                # B = 0 (no sample, or the tail underflowing) is never refused.
+                feasible = (ratio[:, 0] > 0.0) & (
+                    np.isfinite(ratio[:, 1]) | (ends[:, 1] == 0.0)
+                )
+                ok = np.flatnonzero(feasible)
+                for start in range(0, ok.size, rows):
+                    g = ok[start : start + rows]
+                    block = block_buf[: g.size]
+                    np.multiply(slope[g, None], power, out=block)
+                    block += offset
+                    np.divide(gain, block, out=block)
+                    block -= meas_v
+                    scores[i, j, g] = np.einsum("ij,ij->i", block, block) / n
+    flat = scores.ravel()
+    feasible_idx = np.flatnonzero(flat < np.inf)
+    # Flat indices run over (k1, k2, gamma) in node order, so a stable sort
+    # by MSE breaks ties on the smallest triple.
+    order = feasible_idx[np.argsort(flat[feasible_idx], kind="stable")]
+    i, j, g = np.unravel_index(order, scores.shape)
+    return np.column_stack((flat[order], k_nodes[i], k_nodes[j], g_nodes[g]))
+
+
 def estimate_channel_params(
     measured: Trace,
     tx: TransmitterSpec,
@@ -380,21 +451,26 @@ def estimate_channel_params(
 ) -> ChannelEstimate:
     """Estimate (k1, k2, gamma) of a preprocessed voltage trace.
 
-    Stage 1 scores every cell of a log-spaced (k1, k2, gamma) grid by MSE
-    against the trace; stage 2 refines the best refine_top cells with
-    levenberg_marquardt and keeps the lowest-MSE result, ties broken by the
-    lexicographically smallest triple. The result is canonicalized to
-    k1 >= k2. The gamma field of tx is ignored; gamma is estimated.
+    Stage 1 scores every feasible cell of a log-spaced (k1, k2, gamma) grid
+    by MSE against the trace (see _grid_cells); stage 2 refines the best
+    refine_top cells with levenberg_marquardt and keeps the lowest-MSE
+    result, ties broken by the lexicographically smallest triple. The
+    result is canonicalized to k1 >= k2. The gamma field of tx is ignored;
+    gamma is estimated.
 
-    Raises NoSignalError for a flat trace. A best MSE above
-    search.mse_threshold only sets low_confidence, it is not an error.
+    Raises InsufficientDataError for fewer than 4 samples and NoSignalError
+    for a flat trace. A best MSE above search.mse_threshold only sets
+    low_confidence, it is not an error.
     """
     if search is None:
         search = SearchConfig()
     if not (math.isfinite(s) and s > 0.0):
         raise ValidationError(f"distance s must be finite and > 0, got {s!r}")
-    if len(measured) == 0:
-        raise ValidationError("cannot fit an empty trace")
+    if len(measured) < 4:
+        raise InsufficientDataError(
+            "channel fit is under-determined: need >= 4 samples for 3 "
+            f"parameters, got {len(measured)}"
+        )
     if float(np.ptp(measured.volts)) < search.flat_floor_v:
         raise NoSignalError(
             f"trace peak-to-peak span is below {search.flat_floor_v} V; "
@@ -413,27 +489,12 @@ def estimate_channel_params(
             times,
         )
 
-    # Extreme corners of the search box can drive the fitted power law past
-    # its positive range; such cells are simply not candidates.
-    k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
-    g_nodes = np.geomspace(search.gamma_min, search.gamma_max, search.gamma_grid)
-    cells = []
-    for k1 in k_nodes:
-        for k2 in k_nodes:
-            for gamma in g_nodes:
-                try:
-                    diff = model(k1, k2, gamma) - meas_v
-                except ValidationError:
-                    continue
-                cells.append(
-                    (float(diff @ diff) / diff.size, float(k1), float(k2), float(gamma))
-                )
-    if not cells:
+    cells = _grid_cells(measured, tx, sensor, s, search)
+    if len(cells) == 0:
         raise ValidationError(
             "model is not evaluable anywhere in the search box; check the "
             "transmitter and sensor configuration"
         )
-    cells.sort(key=lambda cell: cell)
 
     bounds = (
         (search.k_min, search.k_max),

@@ -109,16 +109,17 @@ def read_columns(path, header: str) -> tuple[np.ndarray, ...]:
     Blank lines and lines starting with '#' are skipped anywhere, also
     before the header. The header's comma-separated names must equal
     `header` (surrounding spaces ignored). Every later line holds one
-    number per header column, as accepted by float(). Any violation, and
-    text that is not UTF-8, raises ParseError with the path and, where it
-    applies, the 1-based line number.
+    number per header column, as accepted by float(). A leading UTF-8
+    byte-order mark, as spreadsheet exports write, is skipped. Any
+    violation, and text that is not UTF-8, raises ParseError with the path
+    and, where it applies, the 1-based line number.
     """
     names = header.split(",")
     width = len(names)
     chunks, fields, rows = [], [], []
     header_seen = False
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 text = line.strip()
                 if not text or text.startswith("#"):

@@ -192,6 +192,21 @@ def test_trend_insufficient_data(tmp_path, capsys):
     assert run(["trend", est_dir, "--out", tmp_path / "t.csv"]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("bad_s", ["-1", "0", "NaN", "Infinity"])
+def test_trend_rejects_bad_distance(tmp_path, capsys, bad_s):
+    est_dir = tmp_path / "estimates"
+    est_dir.mkdir()
+    for name, s in (("a.json", "1.0"), ("b.json", bad_s), ("c.json", "1.2")):
+        (est_dir / name).write_text(
+            f'{{"s": {s}, "k1": 2.0, "k2": 0.5, "gamma": 3.0, "mse": 1e-6}}'
+        )
+    out_csv = tmp_path / "trend.csv"
+    assert run(["trend", est_dir, "--out", out_csv]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "b.json" in err and "distance s must be finite and > 0" in err
+    assert not out_csv.exists()
+
+
 def test_flow_rate_command(tmp_path, capsys):
     path = tmp_path / "mass.csv"
     path.write_text("mass_before_kg,mass_after_kg,dt_s\n1.0,0.99913052,0.5\n")
@@ -260,6 +275,10 @@ HOSTILE_INPUTS = {
         ["flow-rate", "m.csv"], EXIT_IO),
     "estimate_not_utf8": (
         {"est/e.json": b'{"s": 1.0, "k1": "\xff"}'}, ["trend", "est", "--out", "out.csv"], EXIT_IO),
+    "config_missing": ({}, ["--config", "nope.ini", "fit-sensitivity"], EXIT_IO),
+    "estimate_three_samples": (
+        {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n"},
+        ["estimate", "t.csv", "--s", "1"], EXIT_VALIDATION),
     "simulate_tiny_dt": (
         {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--dt", "1e-300",
              "--out", "out.csv"], EXIT_VALIDATION),

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spraylink.channel import sample_response
+from spraylink import fitting
+from spraylink.channel import response_voltages, sample_response
 from spraylink.errors import (
     AlignmentError,
     InsufficientDataError,
@@ -26,7 +28,7 @@ from spraylink.fitting import (
     mse,
 )
 from spraylink.kinetics import KineticsParams
-from spraylink.sensor import MQ3_SENSITIVITY, SensitivityTable
+from spraylink.sensor import MQ3_SENSITIVITY, SensitivityCoeffs, SensitivityTable
 from spraylink.traceio import Trace
 
 
@@ -273,6 +275,99 @@ def test_estimate_noisy_recovery(bench_tx, bench_sensor):
     assert est.k2 == pytest.approx(0.5, rel=0.05)
     assert est.gamma == pytest.approx(3.0, rel=0.05)
     assert est.mse < 2e-4  # about sigma^2
+
+
+def _reference_grid_cells(trace, tx, sensor, s, search):
+    """The grid scored one response_voltages call per cell, refusals skipped."""
+    k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
+    g_nodes = np.geomspace(search.gamma_min, search.gamma_max, search.gamma_grid)
+    cells = []
+    for k1 in k_nodes:
+        for k2 in k_nodes:
+            for gamma in g_nodes:
+                try:
+                    with np.errstate(over="ignore"):
+                        v = response_voltages(
+                            dataclasses.replace(tx, gamma=gamma),
+                            KineticsParams(k1, k2),
+                            sensor,
+                            s,
+                            trace.times,
+                        )
+                except ValidationError:
+                    continue
+                diff = v - trace.volts
+                cells.append((float(diff @ diff) / diff.size, k1, k2, gamma))
+    cells.sort()
+    return np.array(cells)
+
+
+_CONFLUENT_K = float(np.geomspace(0.05, 50.0, 16)[7])
+_STEEP = SensitivityCoeffs(a=1e-13, b=-5.0, c=0.01)
+
+
+# (k1, k2, gamma, s, duration, samples, sensitivity) of a noisy trace
+@pytest.mark.parametrize(
+    "k1, k2, gamma, s, t_end, n, sens",
+    [
+        pytest.param(2.0, 0.5, 3.0, 0.5, 10.0, 1001, None, id="near_field_infeasible"),
+        pytest.param(
+            _CONFLUENT_K, 1.01 * _CONFLUENT_K, 2.5, 1.0, 10.0, 1001, None, id="confluent"
+        ),
+        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 5001, None, id="split_gamma_blocks"),
+        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 1001, _STEEP, id="steep_tail_overflow"),
+        # fast cells decay into subnormal Bhat whose B = c0 * Bhat rounds to 0
+        pytest.param(2.0, 0.5, 3.0, 1.0, 100.0, 2001, None, id="tail_underflow"),
+    ],
+)
+def test_grid_cells_match_per_cell_model(
+    bench_tx, bench_sensor, k1, k2, gamma, s, t_end, n, sens
+):
+    search = SearchConfig()
+    sensor = bench_sensor if sens is None else dataclasses.replace(bench_sensor, sens=sens)
+    times = np.linspace(0.0, t_end, n)
+    clean = sample_response(
+        dataclasses.replace(bench_tx, gamma=gamma), KineticsParams(k1, k2), sensor, s, times
+    )
+    noise = np.random.default_rng(5).normal(0.0, 0.01, n)
+    trace = Trace(times, clean.volts + noise)
+
+    cells = fitting._grid_cells(trace, bench_tx, sensor, s, search)
+    ref = _reference_grid_cells(trace, bench_tx, sensor, s, search)
+    # same feasible cells, in the same order, with the same scores
+    assert cells.shape == ref.shape
+    assert np.array_equal(cells[:, 1:], ref[:, 1:])
+    np.testing.assert_allclose(cells[:, 0], ref[:, 0], rtol=1e-12, atol=0.0)
+
+    full = search.k_grid**2 * search.gamma_grid
+    if s == 0.5 or sens is not None:
+        assert len(cells) < full  # the refusal rule is exercised
+    if n == 5001:
+        assert fitting._GRID_BLOCK_ELEMENTS // n < search.gamma_grid
+    if k1 == _CONFLUENT_K:
+        assert cells[0, 1] == cells[0, 2]  # best cell on the diagonal k1 == k2
+
+
+def test_grid_scoring_memory_is_bounded(bench_tx, bench_sensor):
+    # a whole (gamma, time) table per rate pair would take about 2.1 MB here
+    times = np.linspace(0.0, 200.0, 20001)
+    trace = sample_response(
+        dataclasses.replace(bench_tx, gamma=3.0), KineticsParams(2.0, 0.5), bench_sensor, 1.0, times
+    )
+    tracemalloc.start()
+    try:
+        fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, SearchConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_estimate_needs_four_samples(bench_tx, bench_sensor):
+    for n in (0, 1, 3):
+        short = make_trace(np.arange(n) * 0.1, np.arange(n) * 0.5)
+        with pytest.raises(InsufficientDataError, match="need >= 4 samples"):
+            estimate_channel_params(short, bench_tx, bench_sensor, 1.0)
 
 
 def test_estimate_flat_trace(bench_tx, bench_sensor):

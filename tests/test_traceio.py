@@ -100,6 +100,9 @@ def test_csv_rules_shared_by_every_format(tmp_path, load, header, rows):
 
     # comments and blank lines are skipped, also before the header; CRLF ends
     assert len(load(write("# before the header", "", header, rows[0], "", "# mid", rows[1]))) == 2
+    # a leading UTF-8 byte-order mark (spreadsheet exports) is skipped
+    assert len(load(write("\ufeff" + header, rows[0], rows[1]))) == 2
+    assert len(load(write("\ufeff# exported", header, rows[0], rows[1]))) == 2
 
     bad = "nope" + rows[1][rows[1].index(","):]
     with pytest.raises(ParseError, match="bad number") as err:
