@@ -14,8 +14,11 @@ and the initial concentration in the reception volume reduces to
     C0 = 3 Q Te rho_d gamma / (pi s^3 tan^2(theta)),
 
 independent of theta_rv. The end-to-end voltage response to a short spray
-is the composition C0 -> B(t) -> f(B) -> divider voltage; B -> 0 (at t = 0
-and t -> infinity) maps to 0 V by continuity.
+is the composition C0 -> B(t) -> f(B) -> divider voltage. One rule, _defined,
+says where it is defined: at B = 0 (t = 0, t -> infinity), which maps to 0 V
+by continuity, or where f(B) is finite and > 0. The private evaluator _volts
+gives NaN elsewhere, for the fitting stages to mask; response_voltages
+raises OutOfCalibrationError there.
 
 Angles are radians everywhere in this module; only the CLI/config boundary
 speaks degrees.
@@ -29,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinetics as kin_mod
-from . import sensor as sensor_mod
-from .errors import BoundsViolationError, ValidationError
+from .errors import BoundsViolationError, OutOfCalibrationError, ValidationError
 from .kinetics import KineticsParams
-from .sensor import SensorSpec
+from .sensor import DETECTION_SCOPE, SensorSpec
 from .traceio import Trace
 
 # Relative slack when checking gamma against its geometric upper bound, so a
@@ -162,6 +164,21 @@ def impulse_response(
     return float(response_voltages(tx, kin, sensor, s, np.array([t]))[0])
 
 
+def _defined(b, ratio):
+    """The model's definedness rule: B = 0, or the ratio f(B) finite and > 0."""
+    return (b == 0.0) | ((ratio > 0.0) & (ratio < math.inf))
+
+
+def _volts(c0: float, kin: KineticsParams, sensor: SensorSpec, times) -> np.ndarray:
+    """Volts from c0 by the sensor formulas, unchecked; NaN where not _defined."""
+    b = kin_mod.bound_concentration(c0, kin, times)
+    sens = sensor.sens
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = sens.a * b**sens.b + sens.c
+        volts = sensor.ein * sensor.rl / (sensor.ro * (ratio + sensor.rl / sensor.ro))
+    return np.where(_defined(b, ratio), volts, math.nan)
+
+
 def response_voltages(
     tx: TransmitterSpec,
     kin: KineticsParams,
@@ -175,18 +192,18 @@ def response_voltages(
     voltage_from_sensitivity, with the continuous limit 0 V where the
     adhered concentration vanishes (t = 0, t -> infinity). Times are
     elapsed after the propagation delay; the trace pipeline handles that
-    alignment.
+    alignment. Raises OutOfCalibrationError where the model is undefined
+    at any sample (see the module doc).
     """
     c0 = initial_concentration(tx, s)
-    b = kin_mod.bound_concentration(c0, kin, np.asarray(times, dtype=float))
-    b = np.atleast_1d(b)
-    out = np.zeros(b.shape)
-    mask = b > 0.0
-    if np.any(mask):
-        out[mask] = sensor_mod.voltage_from_sensitivity(
-            sensor_mod.sensitivity(b[mask], sensor.sens), sensor
+    volts = np.atleast_1d(_volts(c0, kin, sensor, times))
+    if np.isnan(volts).any():
+        peak = np.max(kin_mod.bound_concentration(c0, kin, times))
+        raise OutOfCalibrationError(
+            f"sensitivity f(B) is not finite and > 0 at every modeled concentration "
+            f"(peak B = {peak:.6g} kg/m^3; rated detection scope {DETECTION_SCOPE} kg/m^3)"
         )
-    return out
+    return volts
 
 
 def sample_response(

@@ -101,8 +101,8 @@ def _cmd_simulate(cfg, args) -> int:
         raise ValidationError(f"dt must be > 0, got {args.dt!r}")
     if args.t_end < 0.0:
         raise ValidationError(f"t-end must be >= 0, got {args.t_end!r}")
-    if args.noise < 0.0:
-        raise ValidationError(f"noise sigma must be >= 0, got {args.noise!r}")
+    if not (math.isfinite(args.noise) and args.noise >= 0.0):
+        raise ValidationError(f"--noise must be finite and >= 0, got {args.noise!r}")
     steps = args.t_end / args.dt
     if not steps <= MAX_SIMULATE_STEPS:
         raise ValidationError(
@@ -201,6 +201,8 @@ def _cmd_fit_sensitivity(cfg, args) -> int:
 
 
 def _cmd_trend(cfg, args) -> int:
+    if not os.path.isdir(args.estimates_dir):
+        raise ParseError("estimates directory not found", path=args.estimates_dir)
     paths = sorted(glob.glob(os.path.join(args.estimates_dir, "*.json")))
     pairs = []
     for path in paths:

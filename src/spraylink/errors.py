@@ -34,7 +34,7 @@ class BoundsViolationError(ValidationError):
 
 
 class OutOfCalibrationError(ValidationError):
-    """A voltage implies a concentration beyond the sensitivity curve's range."""
+    """A voltage or a modeled concentration lies beyond the sensitivity curve's range."""
 
 
 class AlignmentError(ValidationError):

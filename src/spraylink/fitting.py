@@ -14,9 +14,9 @@ two adapters are:
 The grid search factorises the model: B = C0(gamma) * Bhat(k1, k2, t) with
 Bhat the adhered concentration for C0 = 1, so the sensitivity is
 f(B) = a C0^b Bhat^b + c. One Bhat^b row per rate pair then scores every
-gamma node with an affine map and the divider, in bounded blocks. Cells the
-model cannot evaluate (f(B) <= 0 at the peak, or overflowing in the tail)
-are masked out by one check per rate pair, not raised and caught.
+gamma node with an affine map and the divider, in bounded blocks. Both
+stages mask where channel._defined fails: the grid at each rate pair's
+largest and smallest positive B, and LM through the NaN of channel._volts.
 
 The adhesion/detachment model is exactly degenerate under swapping k1 and
 k2 while rescaling gamma (B(t; C0 g, k1, k2) = B(t; C0 g k1/k2, k2, k1)),
@@ -252,7 +252,8 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
     if not np.all(np.isfinite(r)):
         raise ValidationError("residual is not finite at the initial guess")
     cost = 0.5 * float(r @ r)
-    scaling = problem.scaling
+    # FD steps of at most 0.4 box widths, so a flipped probe stays in the box
+    scaling = np.minimum(problem.scaling, 0.4 * (hi - lo) / FD_RELATIVE_STEP)
     lam = LAMBDA_INIT
     converged = False
     accepted_steps = 0
@@ -395,9 +396,7 @@ def _grid_cells(
     Returns one row (mse, k1, k2, gamma) per feasible cell, sorted by MSE,
     ties broken by the smallest triple. Bhat = 0 gives Bhat^b = inf and so
     exactly 0 V, the model's B -> 0 limit. A cell is left out where
-    response_voltages would refuse it: a sample with B > 0 has a ratio
-    f(B) <= 0 (as b < 0, at the largest B) or an overflowing one (at the
-    smallest positive B).
+    channel._defined fails at its largest or its smallest positive B.
     """
     sens = sensor.sens
     k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
@@ -416,15 +415,10 @@ def _grid_cells(
             for j, k2 in enumerate(k_nodes):
                 bhat = kin_mod.bound_concentration(1.0, KineticsParams(k1, k2), times)
                 power = bhat**sens.b
-                ends = np.outer(
-                    c0, (bhat.max(), np.min(bhat, initial=np.inf, where=bhat > 0.0))
-                )
+                peak = bhat.max()
+                ends = np.outer(c0, (peak, np.min(bhat, initial=peak, where=bhat > 0.0)))
                 ratio = sens.a * ends**sens.b + sens.c
-                # B = 0 (no sample, or the tail underflowing) is never refused.
-                feasible = (ratio[:, 0] > 0.0) & (
-                    np.isfinite(ratio[:, 1]) | (ends[:, 1] == 0.0)
-                )
-                ok = np.flatnonzero(feasible)
+                ok = np.flatnonzero(channel_mod._defined(ends, ratio).all(axis=1))
                 for start in range(0, ok.size, rows):
                     g = ok[start : start + rows]
                     block = block_buf[: g.size]
@@ -477,18 +471,6 @@ def estimate_channel_params(
             "nothing to fit"
         )
 
-    times = measured.times
-    meas_v = measured.volts
-
-    def model(k1, k2, gamma):
-        return channel_mod.response_voltages(
-            dataclasses.replace(tx, gamma=gamma),
-            KineticsParams(k1, k2),
-            sensor,
-            s,
-            times,
-        )
-
     cells = _grid_cells(measured, tx, sensor, s, search)
     if len(cells) == 0:
         raise ValidationError(
@@ -503,11 +485,9 @@ def estimate_channel_params(
     )
 
     def residual(p):
-        try:
-            return model(p[0], p[1], p[2]) - meas_v
-        except ValidationError:
-            # out of the sensitivity curve's range: infinitely bad, rejected
-            return np.full(meas_v.size, np.inf)
+        c0 = channel_mod.initial_concentration(dataclasses.replace(tx, gamma=p[2]), s)
+        volts = channel_mod._volts(c0, KineticsParams(p[0], p[1]), sensor, measured.times)
+        return volts - measured.volts
 
     candidates = []
     for _, k1, k2, gamma in cells[: search.refine_top]:

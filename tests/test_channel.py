@@ -1,10 +1,12 @@
 """Cone geometry, initial concentration, and the composed voltage response."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from spraylink import channel
 from spraylink.channel import (
     ConeGeometry,
     TransmitterSpec,
@@ -14,9 +16,9 @@ from spraylink.channel import (
     sample_response,
     scaling_factor,
 )
-from spraylink.errors import BoundsViolationError, ValidationError
+from spraylink.errors import BoundsViolationError, OutOfCalibrationError, ValidationError
 from spraylink.kinetics import KineticsParams, bound_concentration, peak_time
-from spraylink.sensor import sensitivity, voltage_from_sensitivity
+from spraylink.sensor import SensitivityCoeffs, sensitivity, voltage_from_sensitivity
 
 C0_BENCH_S1 = 0.001360223615642522  # bench parameters, gamma 1, s = 1 m
 
@@ -163,3 +165,50 @@ def test_sample_response_validation(bench_tx, bench_sensor):
         sample_response(bench_tx, kin, bench_sensor, 1.0, [0.0, 2.0, 1.0])
     with pytest.raises(ValidationError):
         sample_response(bench_tx, kin, bench_sensor, 1.0, [-1.0, 0.0])
+
+
+_STEEP = SensitivityCoeffs(a=1e-13, b=-5.0, c=0.01)
+
+
+# (distance, sensitivity, rates, duration, samples, some sample undefined)
+@pytest.mark.parametrize(
+    "s, sens, k1, k2, t_end, n, undefined",
+    [
+        # B = 0 at t = 0 and where the tail underflows, defined everywhere else
+        pytest.param(1.0, None, 2.0, 0.5, 2000.0, 2001, False, id="in_range_zero_tail"),
+        # f(B) <= 0 around the peak
+        pytest.param(0.05, None, 2.0, 0.5, 10.0, 1001, True, id="near_field_peak"),
+        # B^-5 overflows in the tail before B underflows to 0
+        pytest.param(1.0, _STEEP, 20.0, 5.0, 200.0, 2001, True, id="steep_tail_overflow"),
+    ],
+)
+def test_volts_follow_the_sensor_composition(
+    bench_tx, bench_sensor, s, sens, k1, k2, t_end, n, undefined
+):
+    sensor = bench_sensor if sens is None else dataclasses.replace(bench_sensor, sens=sens)
+    kin = KineticsParams(k1, k2)
+    times = np.linspace(0.0, t_end, n)
+    c0 = initial_concentration(bench_tx, s)
+    b = bound_concentration(c0, kin, times)
+    volts = channel._volts(c0, kin, sensor, times)
+    nan = np.isnan(volts)
+    assert nan.any() == undefined
+    # B = 0 is defined and gives exactly 0 V, at t = 0 and in an underflowed tail
+    assert b[0] == 0.0 and (t_end < 100.0 or b[-1] == 0.0)
+    assert np.all(volts[b == 0.0] == 0.0)
+    # bit for bit the public composition on the defined samples...
+    ok = (b > 0.0) & ~nan
+    expected = voltage_from_sensitivity(sensitivity(b[ok], sensor.sens), sensor)
+    np.testing.assert_array_equal(volts[ok], expected)
+    # ...and NaN exactly where that composition raises
+    for value in b[nan]:
+        with pytest.raises(ValidationError), np.errstate(over="ignore"):
+            voltage_from_sensitivity(sensitivity(value, sensor.sens), sensor)
+    if undefined:
+        with pytest.raises(OutOfCalibrationError) as err:
+            response_voltages(bench_tx, kin, sensor, s, times)
+        assert f"peak B = {np.max(b):.6g} kg/m^3" in str(err.value)
+        assert "detection scope (5e-05, 0.01)" in str(err.value)
+    else:
+        np.testing.assert_array_equal(response_voltages(bench_tx, kin, sensor, s, times), volts)
+

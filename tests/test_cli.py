@@ -207,6 +207,35 @@ def test_trend_rejects_bad_distance(tmp_path, capsys, bad_s):
     assert not out_csv.exists()
 
 
+def test_trend_missing_directory_is_io_error(tmp_path, capsys):
+    missing = tmp_path / "nope"
+    assert run(["trend", missing, "--out", tmp_path / "t.csv"]) == EXIT_IO
+    assert f"{missing}: estimates directory not found" in capsys.readouterr().err
+    # an existing directory without estimates is a validation error
+    (tmp_path / "empty").mkdir()
+    assert run(["trend", tmp_path / "empty", "--out", tmp_path / "t.csv"]) == EXIT_VALIDATION
+    assert "got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, cause",
+    [
+        pytest.param(["--s", 0.05], "detection scope (5e-05, 0.01) kg/m^3", id="near_field"),
+        pytest.param(
+            ["--s", 1.0, "--noise", "nan"], "--noise must be finite and >= 0", id="noise_nan"
+        ),
+        pytest.param(
+            ["--s", 1.0, "--noise", "inf"], "--noise must be finite and >= 0", id="noise_inf"
+        ),
+    ],
+)
+def test_simulate_refusal_names_its_cause(tmp_path, capsys, extra, cause):
+    out = tmp_path / "trace.csv"
+    assert run(["simulate", "--k1", 2, "--k2", 0.5, *extra, "--out", out]) == EXIT_VALIDATION
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flow_rate_command(tmp_path, capsys):
     path = tmp_path / "mass.csv"
     path.write_text("mass_before_kg,mass_after_kg,dt_s\n1.0,0.99913052,0.5\n")
@@ -279,6 +308,12 @@ HOSTILE_INPUTS = {
     "estimate_three_samples": (
         {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n"},
         ["estimate", "t.csv", "--s", "1"], EXIT_VALIDATION),
+    "simulate_noise_nan": (
+        {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--noise", "nan",
+             "--out", "out.csv"], EXIT_VALIDATION),
+    "simulate_noise_inf": (
+        {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--noise", "inf",
+             "--out", "out.csv"], EXIT_VALIDATION),
     "simulate_tiny_dt": (
         {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--dt", "1e-300",
              "--out", "out.csv"], EXIT_VALIDATION),

@@ -150,6 +150,17 @@ def test_lm_input_validation():
         levenberg_marquardt(problem)
 
 
+def test_lm_probes_stay_inside_a_box_narrower_than_the_fd_step():
+    lo, hi = 1.0, 1.0 + 1e-7
+
+    def residual(p):
+        assert lo <= p[0] <= hi, p
+        return np.array([p[0] - 2.0, 0.5 * p[0]])
+
+    result = levenberg_marquardt(FitProblem(residual=residual, bounds=((lo, hi),), x0=[hi]))
+    assert lo <= result.params[0] <= hi
+
+
 def test_fd_jacobian_against_analytic():
     a, b, c = 0.0116, -0.5855, -0.0743
     x = np.logspace(-4, -2, 20)
@@ -368,6 +379,14 @@ def test_estimate_needs_four_samples(bench_tx, bench_sensor):
         short = make_trace(np.arange(n) * 0.1, np.arange(n) * 0.5)
         with pytest.raises(InsufficientDataError, match="need >= 4 samples"):
             estimate_channel_params(short, bench_tx, bench_sensor, 1.0)
+
+
+def test_estimate_in_a_gamma_box_narrower_than_the_fd_step(bench_tx, bench_sensor):
+    # LM must not probe gamma below 1, which TransmitterSpec refuses
+    trace = _synthetic_trace(bench_tx, bench_sensor, 2.0, 0.5, 1.0, s=1.0, sigma=0.01, seed=3)
+    search = SearchConfig(gamma_min=1.0, gamma_max=1.000001)
+    est = estimate_channel_params(trace, bench_tx, bench_sensor, 1.0, search)
+    assert 1.0 <= est.gamma <= 1.000001
 
 
 def test_estimate_flat_trace(bench_tx, bench_sensor):
