@@ -139,18 +139,28 @@ def initial_concentration(tx: TransmitterSpec, s: float) -> float:
     """Initial droplet concentration in the reception volume, kg/m^3.
 
     C0 = 3 Q Te rho_d gamma / (pi s^3 tan^2 theta). The inner-cone angle
-    cancels out, so no ConeGeometry is needed.
+    cancels out, so no ConeGeometry is needed. A C0 that is not a finite
+    float > 0 (s^3 under- or overflows) raises ValidationError naming s.
     """
     if not (math.isfinite(s) and s > 0.0):
         raise ValidationError(f"distance s must be finite and > 0, got {s!r}")
-    return (
-        3.0
-        * tx.q
-        * tx.te
-        * tx.rho_d
-        * tx.gamma
-        / (math.pi * s**3 * math.tan(tx.theta) ** 2)
-    )
+    try:
+        c0 = (
+            3.0
+            * tx.q
+            * tx.te
+            * tx.rho_d
+            * tx.gamma
+            / (math.pi * s**3 * math.tan(tx.theta) ** 2)
+        )
+    except (ZeroDivisionError, OverflowError):
+        c0 = math.nan
+    if not 0.0 < c0 < math.inf:
+        raise ValidationError(
+            f"distance s = {s!r} m gives no finite C0 > 0 "
+            "(s^3 or Q Te rho_d gamma leaves the float range)"
+        )
+    return c0
 
 
 def impulse_response(

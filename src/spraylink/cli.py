@@ -103,6 +103,9 @@ def _cmd_simulate(cfg, args) -> int:
         raise ValidationError(f"t-end must be >= 0, got {args.t_end!r}")
     if not (math.isfinite(args.noise) and args.noise >= 0.0):
         raise ValidationError(f"--noise must be finite and >= 0, got {args.noise!r}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed!r}")
+    c0 = channel.initial_concentration(tx, args.s)
     steps = args.t_end / args.dt
     if not steps <= MAX_SIMULATE_STEPS:
         raise ValidationError(
@@ -116,7 +119,6 @@ def _cmd_simulate(cfg, args) -> int:
         noisy = trace.volts + rng.normal(0.0, args.noise, size=len(trace))
         trace = traceio.Trace(trace.times, noisy, meta=dict(trace.meta, noise_v=args.noise, seed=args.seed))
     traceio.store_trace(trace, args.out)
-    c0 = channel.initial_concentration(tx, args.s)
     t_star = peak_time(kin)
     peak_idx = int(np.argmax(trace.volts)) if len(trace) else 0
     print(f"wrote {args.out} ({len(trace)} samples)")

@@ -13,10 +13,12 @@ two adapters are:
 
 The grid search factorises the model: B = C0(gamma) * Bhat(k1, k2, t) with
 Bhat the adhered concentration for C0 = 1, so the sensitivity is
-f(B) = a C0^b Bhat^b + c. One Bhat^b row per rate pair then scores every
-gamma node with an affine map and the divider, in bounded blocks. Both
-stages mask where channel._defined fails: the grid at each rate pair's
-largest and smallest positive B, and LM through the NaN of channel._volts.
+f(B) = a C0^b Bhat^b + c. It makes one pass over the trace in time chunks:
+per chunk, one exp(-k t) row per rate node gives Bhat^b for every rate pair
+at once, and each gamma node adds its partial squared error through an
+affine map and the divider. Both stages mask where channel._defined fails:
+the grid at each rate pair's largest and smallest positive B, and LM
+through the NaN of channel._volts.
 
 The adhesion/detachment model is exactly degenerate under swapping k1 and
 k2 while rescaling gamma (B(t; C0 g, k1, k2) = B(t; C0 g k1/k2, k2, k1)),
@@ -54,8 +56,9 @@ FD_RELATIVE_STEP = 1e-6
 # Jacobian condition estimate above this is reported as rank-deficient.
 RANK_DEFICIENT_COND = 1e8
 
-# Most float64 elements the grid stage scores at once; a longer trace scores
-# fewer gamma nodes per block (at least one), so scratch memory stays flat.
+# Bound on k_grid^2 * L, the float64 elements of one time chunk of the grid
+# stage (L samples, at least one, for every rate pair), so scratch memory
+# stays flat in trace length.
 _GRID_BLOCK_ELEMENTS = 2**15
 
 
@@ -384,6 +387,33 @@ def canonicalize(k1: float, k2: float, gamma: float, gamma_min: float = 1.0):
     return k1, k2, gamma, False
 
 
+def _pair_bhat(k_nodes: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Write Bhat(k1, k2, t) of every rate pair into out, shape (K*K, t.size).
+
+    Row i*K + j is (k1, k2) = (k_nodes[i], k_nodes[j]). exp(-k t) is taken
+    once per node; each row then follows kinetics.bound_concentration(1.0,
+    ...) in its operation order (two-exponential form, k1 t e^{-k1 t} on the
+    exact diagonal, the expm1 form within CONFLUENT_REL_TOL, clip at 0), so
+    it equals that function's output bit for bit. Its c0 = 1 multiplies
+    exactly and is left out.
+    """
+    nk = k_nodes.size
+    i1, i2 = np.divmod(np.arange(nk * nk), nk)
+    k1, k2 = k_nodes[i1], k_nodes[i2]
+    delta = k1 - k2
+    confluent = np.abs(delta) < kin_mod.CONFLUENT_REL_TOL * np.maximum(k1, k2)
+    e = np.exp(np.multiply.outer(-k_nodes, t))
+    np.subtract(e[:, None, :], e[None, :, :], out=out.reshape(nk, nk, t.size))
+    out *= np.divide(k1, k2 - k1, out=np.zeros(nk * nk), where=~confluent)[:, None]
+    exact = np.flatnonzero(confluent & (delta == 0.0))
+    out[exact] = (k1[exact, None] * t) * e[i1[exact]]
+    near = np.flatnonzero(confluent & (delta != 0.0))
+    if near.size:
+        d = delta[near, None]
+        out[near] = k1[near, None] * e[i1[near]] * np.expm1(d * t) / d
+    np.maximum(out, 0.0, out=out)
+
+
 def _grid_cells(
     measured: Trace,
     tx: TransmitterSpec,
@@ -392,6 +422,13 @@ def _grid_cells(
     search: SearchConfig,
 ) -> np.ndarray:
     """Score the coarse (k1, k2, gamma) grid against a trace (see module doc).
+
+    One pass over the trace in chunks of L = _GRID_BLOCK_ELEMENTS // k_grid^2
+    samples. Per chunk, _pair_bhat gives Bhat of every rate pair, which is
+    raised to the power b once; each gamma node then adds its partial
+    squared error. Running per-pair peaks and smallest positive Bhat give
+    the definedness ends. Scores differ from a one-piece sum only by
+    summation order.
 
     Returns one row (mse, k1, k2, gamma) per feasible cell, sorted by MSE,
     ties broken by the smallest triple. Bhat = 0 gives Bhat^b = inf and so
@@ -407,26 +444,34 @@ def _grid_cells(
     gain = sensor.ein * sensor.rl / sensor.ro
     times, meas_v = measured.times, measured.volts
     n = meas_v.size
-    rows = max(1, min(g_nodes.size, _GRID_BLOCK_ELEMENTS // n))
-    block_buf = np.empty((rows, n))
-    scores = np.full((k_nodes.size, k_nodes.size, g_nodes.size), np.inf)
+    pairs = k_nodes.size**2
+    chunk = max(1, _GRID_BLOCK_ELEMENTS // pairs)
+    bhat_buf = np.empty(pairs * chunk)
+    block_buf = np.empty(pairs * chunk)
+    peak = np.zeros(pairs)
+    low = np.full(pairs, np.inf)
+    sse = np.zeros((g_nodes.size, pairs))
     with np.errstate(divide="ignore", over="ignore"):
-        for i, k1 in enumerate(k_nodes):
-            for j, k2 in enumerate(k_nodes):
-                bhat = kin_mod.bound_concentration(1.0, KineticsParams(k1, k2), times)
-                power = bhat**sens.b
-                peak = bhat.max()
-                ends = np.outer(c0, (peak, np.min(bhat, initial=peak, where=bhat > 0.0)))
-                ratio = sens.a * ends**sens.b + sens.c
-                ok = np.flatnonzero(channel_mod._defined(ends, ratio).all(axis=1))
-                for start in range(0, ok.size, rows):
-                    g = ok[start : start + rows]
-                    block = block_buf[: g.size]
-                    np.multiply(slope[g, None], power, out=block)
-                    block += offset
-                    np.divide(gain, block, out=block)
-                    block -= meas_v
-                    scores[i, j, g] = np.einsum("ij,ij->i", block, block) / n
+        for start in range(0, n, chunk):
+            t = times[start : start + chunk]
+            meas = meas_v[start : start + chunk]
+            bhat = bhat_buf[: pairs * t.size].reshape(pairs, t.size)
+            block = block_buf[: pairs * t.size].reshape(pairs, t.size)
+            _pair_bhat(k_nodes, t, bhat)
+            np.maximum(peak, bhat.max(axis=1), out=peak)
+            np.minimum(low, np.min(bhat, axis=1, initial=np.inf, where=bhat > 0.0), out=low)
+            np.power(bhat, sens.b, out=bhat)
+            for g in range(g_nodes.size):
+                np.multiply(slope[g], bhat, out=block)
+                block += offset
+                np.divide(gain, block, out=block)
+                block -= meas
+                sse[g] += np.einsum("ij,ij->i", block, block)
+        # a pair with no positive Bhat has peak 0 and checks B = 0 at both ends
+        ends = c0[:, None, None] * np.stack((peak, np.minimum(low, peak)), axis=-1)
+        ratio = sens.a * ends**sens.b + sens.c
+    ok = channel_mod._defined(ends, ratio).all(axis=2)
+    scores = np.where(ok, sse / n, np.inf).T.reshape(k_nodes.size, k_nodes.size, g_nodes.size)
     flat = scores.ravel()
     feasible_idx = np.flatnonzero(flat < np.inf)
     # Flat indices run over (k1, k2, gamma) in node order, so a stable sort

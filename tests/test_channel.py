@@ -93,6 +93,13 @@ def test_initial_concentration_bench(bench_tx):
         initial_concentration(bench_tx, 0.0)
 
 
+# s^3 underflows to 0, is subnormal so C0 overflows to inf, or overflows
+@pytest.mark.parametrize("s", [1e-200, 1e-105, 1e300])
+def test_initial_concentration_refuses_distance_out_of_float_range(bench_tx, s):
+    with pytest.raises(ValidationError, match="distance s = "):
+        initial_concentration(bench_tx, s)
+
+
 def test_initial_concentration_scalings(bench_tx):
     import dataclasses
 

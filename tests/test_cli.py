@@ -317,6 +317,18 @@ HOSTILE_INPUTS = {
     "simulate_tiny_dt": (
         {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--dt", "1e-300",
              "--out", "out.csv"], EXIT_VALIDATION),
+    "simulate_tiny_distance": (
+        {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1e-200", "--out", "out.csv"],
+        EXIT_VALIDATION),
+    "simulate_huge_distance": (
+        {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1e300", "--out", "out.csv"],
+        EXIT_VALIDATION),
+    "estimate_tiny_distance": (
+        {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n0.3,0.05\n"},
+        ["estimate", "t.csv", "--s", "1e-200"], EXIT_VALIDATION),
+    "simulate_negative_seed": (
+        {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--noise", "0.01",
+             "--seed", "-1", "--out", "out.csv"], EXIT_VALIDATION),
 }
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spraylink import fitting
+from spraylink import fitting, kinetics
 from spraylink.channel import response_voltages, sample_response
 from spraylink.errors import (
     AlignmentError,
@@ -313,50 +313,133 @@ def _reference_grid_cells(trace, tx, sensor, s, search):
     return np.array(cells)
 
 
-_CONFLUENT_K = float(np.geomspace(0.05, 50.0, 16)[7])
-_STEEP = SensitivityCoeffs(a=1e-13, b=-5.0, c=0.01)
-
-
-# (k1, k2, gamma, s, duration, samples, sensitivity) of a noisy trace
-@pytest.mark.parametrize(
-    "k1, k2, gamma, s, t_end, n, sens",
-    [
-        pytest.param(2.0, 0.5, 3.0, 0.5, 10.0, 1001, None, id="near_field_infeasible"),
-        pytest.param(
-            _CONFLUENT_K, 1.01 * _CONFLUENT_K, 2.5, 1.0, 10.0, 1001, None, id="confluent"
-        ),
-        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 5001, None, id="split_gamma_blocks"),
-        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 1001, _STEEP, id="steep_tail_overflow"),
-        # fast cells decay into subnormal Bhat whose B = c0 * Bhat rounds to 0
-        pytest.param(2.0, 0.5, 3.0, 1.0, 100.0, 2001, None, id="tail_underflow"),
-    ],
-)
-def test_grid_cells_match_per_cell_model(
-    bench_tx, bench_sensor, k1, k2, gamma, s, t_end, n, sens
-):
-    search = SearchConfig()
-    sensor = bench_sensor if sens is None else dataclasses.replace(bench_sensor, sens=sens)
-    times = np.linspace(0.0, t_end, n)
+def _noisy_trace(tx, sensor, k1, k2, gamma, s, times):
     clean = sample_response(
-        dataclasses.replace(bench_tx, gamma=gamma), KineticsParams(k1, k2), sensor, s, times
+        dataclasses.replace(tx, gamma=gamma), KineticsParams(k1, k2), sensor, s, times
     )
-    noise = np.random.default_rng(5).normal(0.0, 0.01, n)
-    trace = Trace(times, clean.volts + noise)
+    noise = np.random.default_rng(5).normal(0.0, 0.01, times.size)
+    return Trace(times, clean.volts + noise)
 
-    cells = fitting._grid_cells(trace, bench_tx, sensor, s, search)
-    ref = _reference_grid_cells(trace, bench_tx, sensor, s, search)
-    # same feasible cells, in the same order, with the same scores
+
+def _assert_same_cells(cells, ref):
+    """Same feasible cells, in the same order, with the same scores."""
     assert cells.shape == ref.shape
     assert np.array_equal(cells[:, 1:], ref[:, 1:])
     np.testing.assert_allclose(cells[:, 0], ref[:, 0], rtol=1e-12, atol=0.0)
+
+
+_CONFLUENT_K = float(np.geomspace(0.05, 50.0, 16)[7])
+_STEEP = SensitivityCoeffs(a=1e-13, b=-5.0, c=0.01)
+_DEFAULT = SearchConfig()
+# every off-diagonal rate pair lies within CONFLUENT_REL_TOL: the expm1 branch
+_EXPM1_BOX = SearchConfig(k_min=1.0, k_max=1.0 + 5e-7)
+_SMALL_GRID = SearchConfig(k_grid=5, gamma_grid=3)
+# samples per time chunk of the default grid
+_CHUNK = fitting._GRID_BLOCK_ELEMENTS // _DEFAULT.k_grid**2
+
+
+# (k1, k2, gamma, s, duration, samples, sensitivity, search) of a noisy trace
+@pytest.mark.parametrize(
+    "k1, k2, gamma, s, t_end, n, sens, search",
+    [
+        pytest.param(
+            2.0, 0.5, 3.0, 0.5, 10.0, 1001, None, _DEFAULT, id="near_field_infeasible"
+        ),
+        pytest.param(
+            _CONFLUENT_K, 1.01 * _CONFLUENT_K, 2.5, 1.0, 10.0, 1001, None, _DEFAULT,
+            id="confluent",
+        ),
+        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 5001, None, _DEFAULT, id="split_gamma_blocks"),
+        pytest.param(
+            2.0, 0.5, 3.0, 1.0, 10.0, 1001, _STEEP, _DEFAULT, id="steep_tail_overflow"
+        ),
+        # fast cells decay into subnormal Bhat whose B = c0 * Bhat rounds to 0
+        pytest.param(2.0, 0.5, 3.0, 1.0, 100.0, 2001, None, _DEFAULT, id="tail_underflow"),
+        pytest.param(1.0, 1.0, 2.0, 1.0, 10.0, 1001, None, _EXPM1_BOX, id="expm1_branch"),
+        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 50, None, _DEFAULT, id="shorter_than_a_chunk"),
+        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, _CHUNK, None, _DEFAULT, id="one_full_chunk"),
+        pytest.param(
+            2.0, 0.5, 3.0, 1.0, 10.0, _CHUNK + 1, None, _DEFAULT, id="one_sample_past_a_chunk"
+        ),
+        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 2001, None, _SMALL_GRID, id="small_grid"),
+    ],
+)
+def test_grid_cells_match_per_cell_model(
+    bench_tx, bench_sensor, k1, k2, gamma, s, t_end, n, sens, search
+):
+    sensor = bench_sensor if sens is None else dataclasses.replace(bench_sensor, sens=sens)
+    trace = _noisy_trace(bench_tx, sensor, k1, k2, gamma, s, np.linspace(0.0, t_end, n))
+
+    cells = fitting._grid_cells(trace, bench_tx, sensor, s, search)
+    _assert_same_cells(cells, _reference_grid_cells(trace, bench_tx, sensor, s, search))
 
     full = search.k_grid**2 * search.gamma_grid
     if s == 0.5 or sens is not None:
         assert len(cells) < full  # the refusal rule is exercised
     if n == 5001:
-        assert fitting._GRID_BLOCK_ELEMENTS // n < search.gamma_grid
+        assert n > 10 * _CHUNK  # many time chunks, the last one partial
     if k1 == _CONFLUENT_K:
         assert cells[0, 1] == cells[0, 2]  # best cell on the diagonal k1 == k2
+    if search is _EXPM1_BOX:
+        assert search.k_max - search.k_min < kinetics.CONFLUENT_REL_TOL * search.k_min
+    if search is _SMALL_GRID:
+        assert fitting._GRID_BLOCK_ELEMENTS // search.k_grid**2 < n  # two chunks
+
+
+@pytest.mark.parametrize(
+    "search", [_DEFAULT, _EXPM1_BOX, _SMALL_GRID], ids=["default", "expm1_box", "small_grid"]
+)
+@pytest.mark.parametrize("t_end", [1.0, 10.0, 200.0])  # down to underflowed tails
+def test_pair_bhat_equals_bound_concentration_bit_for_bit(search, t_end):
+    k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
+    t = np.linspace(0.0, t_end, 301)
+    out = np.empty((k_nodes.size**2, t.size))
+    fitting._pair_bhat(k_nodes, t, out)
+    ref = [kinetics.bound_concentration(1.0, KineticsParams(k1, k2), t)
+           for k1 in k_nodes for k2 in k_nodes]
+    assert np.array_equal(out, np.array(ref))
+
+
+def test_grid_refuses_pairs_at_their_first_sample(bench_tx, bench_sensor):
+    # Bhat(1e-12 s) is about k1 * 1e-12, so B^-20 overflows there for slow
+    # adhesion and small gamma only, seven chunks before the tail.
+    sensor = dataclasses.replace(bench_sensor, sens=SensitivityCoeffs(a=1e-60, b=-20.0, c=0.01))
+    times = np.concatenate(([0.0, 1e-12], np.linspace(0.01, 10.0, 999)))
+    trace = _noisy_trace(bench_tx, sensor, 20.0, 0.5, 3.0, 1.0, times)
+    cells = fitting._grid_cells(trace, bench_tx, sensor, 1.0, _DEFAULT)
+    ref = _reference_grid_cells(trace, bench_tx, sensor, 1.0, _DEFAULT)
+    assert len(cells) < _DEFAULT.k_grid**2 * _DEFAULT.gamma_grid
+    _assert_same_cells_by_triple(cells, ref)
+
+
+def test_grid_keeps_pairs_whose_bhat_is_zero_throughout(bench_tx, bench_sensor):
+    # At 100 s spacing the fast pairs have Bhat = 0 at every sample: 0 V
+    # throughout, which is defined although f(B) -> c < 0 for the MQ-3 curve.
+    trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, np.linspace(0.0, 1e5, 1001))
+    cells = fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT)
+    ref = _reference_grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT)
+    assert len(cells) == _DEFAULT.k_grid**2 * _DEFAULT.gamma_grid
+    _assert_same_cells_by_triple(cells, ref)
+
+
+def _assert_same_cells_by_triple(cells, ref):
+    """Same cells and scores; the order of near-0 V cells is left open.
+
+    Such cells score within an ulp of each other, so their order follows
+    the summation order.
+    """
+    _assert_same_cells(*(c[np.lexsort((c[:, 3], c[:, 2], c[:, 1]))] for c in (cells, ref)))
+
+
+def test_grid_does_not_evaluate_per_pair(bench_tx, bench_sensor, monkeypatch):
+    trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 0.5, np.linspace(0.0, 10.0, 1001))
+    ref = _reference_grid_cells(trace, bench_tx, bench_sensor, 0.5, _DEFAULT)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kinetics.bound_concentration called")
+
+    monkeypatch.setattr(kinetics, "bound_concentration", refuse)
+    _assert_same_cells(fitting._grid_cells(trace, bench_tx, bench_sensor, 0.5, _DEFAULT), ref)
 
 
 def test_grid_scoring_memory_is_bounded(bench_tx, bench_sensor):
