@@ -179,9 +179,8 @@ def _defined(b, ratio):
     return (b == 0.0) | ((ratio > 0.0) & (ratio < math.inf))
 
 
-def _volts(c0: float, kin: KineticsParams, sensor: SensorSpec, times) -> np.ndarray:
-    """Volts from c0 by the sensor formulas, unchecked; NaN where not _defined."""
-    b = kin_mod.bound_concentration(c0, kin, times)
+def _volts(b, sensor: SensorSpec) -> np.ndarray:
+    """Volts at concentrations b by the sensor formulas, unchecked; NaN where not _defined."""
     sens = sensor.sens
     with np.errstate(divide="ignore", over="ignore"):
         ratio = sens.a * b**sens.b + sens.c
@@ -205,13 +204,12 @@ def response_voltages(
     alignment. Raises OutOfCalibrationError where the model is undefined
     at any sample (see the module doc).
     """
-    c0 = initial_concentration(tx, s)
-    volts = np.atleast_1d(_volts(c0, kin, sensor, times))
+    b = kin_mod.bound_concentration(initial_concentration(tx, s), kin, times)
+    volts = np.atleast_1d(_volts(b, sensor))
     if np.isnan(volts).any():
-        peak = np.max(kin_mod.bound_concentration(c0, kin, times))
         raise OutOfCalibrationError(
             f"sensitivity f(B) is not finite and > 0 at every modeled concentration "
-            f"(peak B = {peak:.6g} kg/m^3; rated detection scope {DETECTION_SCOPE} kg/m^3)"
+            f"(peak B = {np.max(b):.6g} kg/m^3; rated detection scope {DETECTION_SCOPE} kg/m^3)"
         )
     return volts
 

@@ -1,18 +1,23 @@
 """Damped least-squares fitting and the two problem adapters built on it.
 
-The driver is a bounded Levenberg-Marquardt loop with forward
-finite-difference Jacobians: solve (J'J + lambda diag(J'J)) step = -J'r,
-grow lambda tenfold on a rejected step, shrink it tenfold on an accepted
-one, and project iterates back into the bounds box after every step. The
-two adapters are:
+The solver is a bounded Levenberg-Marquardt loop: solve
+(J'J + lambda diag(J'J)) step = -J'r, grow lambda tenfold on a rejected
+step, shrink it tenfold on an accepted one, and project iterates back into
+the bounds box after every step. J is the problem's analytic Jacobian when
+it supplies one (the MINPACK lmder pattern), else a forward
+finite-difference Jacobian. The two adapters are:
 
-* fit_sensitivity: power-law coefficients (a, b, c) of a sensitivity table.
+* fit_sensitivity: power-law coefficients (a, b, c) of a sensitivity table,
+  with finite differences.
 * estimate_channel_params: channel parameters (k1, k2, gamma) from a
   measured voltage trace, seeded by a coarse log-spaced grid search and
-  refined from the best grid cells.
+  refined, with the analytic Jacobian, from distinct starts among the best
+  grid cells.
 
-The grid search factorises the model: B = C0(gamma) * Bhat(k1, k2, t) with
-Bhat the adhered concentration for C0 = 1, so the sensitivity is
+Both stages factorise the model: B = C0(gamma) * Bhat(k1, k2, t) with
+Bhat the adhered concentration for C0 = 1, and C0 linear in gamma. One
+kernel, kinetics._bhat, gives Bhat (and its rate derivatives) for the grid,
+the LM residual and its Jacobian alike. The grid's sensitivity is
 f(B) = a C0^b Bhat^b + c. It makes one pass over the trace in time chunks:
 per chunk, one exp(-k t) row per rate node gives Bhat^b for every rate pair
 at once, and each gamma node adds its partial squared error through an
@@ -22,7 +27,8 @@ through the NaN of channel._volts.
 
 The adhesion/detachment model is exactly degenerate under swapping k1 and
 k2 while rescaling gamma (B(t; C0 g, k1, k2) = B(t; C0 g k1/k2, k2, k1)),
-so channel estimates are canonicalized to k1 >= k2.
+so channel estimates are canonicalized to k1 >= k2, and grid cells that
+are mirrors or neighbours of a start already refined are not refined again.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .errors import (
     NoSignalError,
     ValidationError,
 )
-from .kinetics import KineticsParams
 from .sensor import SensitivityCoeffs, SensitivityTable, SensorSpec
 from .traceio import Trace
 
@@ -70,12 +75,16 @@ class FitProblem:
     sequence of finite (lo, hi) pairs; x0 must lie inside the bounds;
     scaling holds per-parameter characteristic magnitudes used for the
     finite-difference steps (defaults to |x0| with zeros replaced by 1).
+    jacobian, if given, maps a parameter vector to the residual's Jacobian
+    (one row per residual, one column per parameter) and replaces the
+    finite differences.
     """
 
     residual: callable
     bounds: tuple
     x0: np.ndarray
     scaling: np.ndarray | None = None
+    jacobian: callable | None = None
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -109,6 +118,8 @@ class FitResult:
     mse is the mean squared residual (V^2 for trace problems), rmse its
     square root, iterations the number of accepted steps, and
     jac_condition the 2-norm condition estimate of the final Jacobian.
+    residual_evals counts residual evaluations, finite-difference columns
+    included, and jacobian_evals calls of an analytic Jacobian.
     """
 
     params: np.ndarray
@@ -117,6 +128,8 @@ class FitResult:
     iterations: int
     converged: bool
     jac_condition: float
+    residual_evals: int
+    jacobian_evals: int
 
 
 @dataclass(frozen=True)
@@ -157,7 +170,10 @@ class SearchConfig:
     The rate-constant box and the gamma ceiling are engineering defaults
     sized for seconds-scale spray signals; tighten gamma_max to the
     geometric bound (tan theta / tan theta_rv)^2 when the inner-cone angle
-    has been measured.
+    has been measured. refine_top bounds the LM starts: at most refine_top
+    distinct starts among the refine_top best grid cells, where a cell
+    within one grid step of a start already taken, directly or as its
+    swap-scale mirror, is skipped.
     """
 
     k_min: float = 0.05
@@ -243,26 +259,42 @@ def _fd_jacobian(fun, p, r0, scaling, hi):
 def levenberg_marquardt(problem: FitProblem) -> FitResult:
     """Minimize 0.5 ||r(p)||^2 subject to box bounds.
 
-    Terminates converged when the gradient's largest component drops below
-    GRADIENT_TOL or the (proposed) relative step falls below STEP_TOL;
-    returns converged=False after MAX_ITERATIONS or when no decreasing step
-    exists at any damping (never raises for non-convergence). A non-finite
-    residual at the initial guess is an input error.
+    Uses the problem's analytic Jacobian when it has one, else forward
+    finite differences (_fd_jacobian). Terminates converged when the
+    gradient's largest component drops below GRADIENT_TOL or the (proposed)
+    relative step falls below STEP_TOL; returns converged=False after
+    MAX_ITERATIONS or when no decreasing step exists at any damping (never
+    raises for non-convergence). A non-finite residual at the initial guess
+    is an input error.
     """
     lo, hi = problem._bounds_arrays()
+    # FD steps of at most 0.4 box widths, so a flipped probe stays in the box
+    scaling = np.minimum(problem.scaling, 0.4 * (hi - lo) / FD_RELATIVE_STEP)
+    residual_evals = jacobian_evals = 0
+
+    def residual(x):
+        nonlocal residual_evals
+        residual_evals += 1
+        return np.asarray(problem.residual(x), dtype=float)
+
+    def jacobian(x, r):
+        nonlocal jacobian_evals
+        if problem.jacobian is None:
+            return _fd_jacobian(residual, x, r, scaling, hi)
+        jacobian_evals += 1
+        return np.asarray(problem.jacobian(x), dtype=float)
+
     p = problem.x0.copy()
-    r = np.asarray(problem.residual(p), dtype=float)
+    r = residual(p)
     if not np.all(np.isfinite(r)):
         raise ValidationError("residual is not finite at the initial guess")
     cost = 0.5 * float(r @ r)
-    # FD steps of at most 0.4 box widths, so a flipped probe stays in the box
-    scaling = np.minimum(problem.scaling, 0.4 * (hi - lo) / FD_RELATIVE_STEP)
     lam = LAMBDA_INIT
     converged = False
     accepted_steps = 0
     J = None
     while True:
-        J = _fd_jacobian(problem.residual, p, r, scaling, hi)
+        J = jacobian(p, r)
         g = J.T @ r
         if np.max(np.abs(g)) < GRADIENT_TOL:
             converged = True
@@ -288,7 +320,7 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
             if np.linalg.norm(moved) < STEP_TOL * (np.linalg.norm(p) + STEP_TOL):
                 converged = True
                 break
-            r_trial = np.asarray(problem.residual(trial), dtype=float)
+            r_trial = residual(trial)
             if np.all(np.isfinite(r_trial)):
                 cost_trial = 0.5 * float(r_trial @ r_trial)
             else:
@@ -317,6 +349,8 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
         iterations=accepted_steps,
         converged=converged,
         jac_condition=cond,
+        residual_evals=residual_evals,
+        jacobian_evals=jacobian_evals,
     )
 
 
@@ -387,33 +421,6 @@ def canonicalize(k1: float, k2: float, gamma: float, gamma_min: float = 1.0):
     return k1, k2, gamma, False
 
 
-def _pair_bhat(k_nodes: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
-    """Write Bhat(k1, k2, t) of every rate pair into out, shape (K*K, t.size).
-
-    Row i*K + j is (k1, k2) = (k_nodes[i], k_nodes[j]). exp(-k t) is taken
-    once per node; each row then follows kinetics.bound_concentration(1.0,
-    ...) in its operation order (two-exponential form, k1 t e^{-k1 t} on the
-    exact diagonal, the expm1 form within CONFLUENT_REL_TOL, clip at 0), so
-    it equals that function's output bit for bit. Its c0 = 1 multiplies
-    exactly and is left out.
-    """
-    nk = k_nodes.size
-    i1, i2 = np.divmod(np.arange(nk * nk), nk)
-    k1, k2 = k_nodes[i1], k_nodes[i2]
-    delta = k1 - k2
-    confluent = np.abs(delta) < kin_mod.CONFLUENT_REL_TOL * np.maximum(k1, k2)
-    e = np.exp(np.multiply.outer(-k_nodes, t))
-    np.subtract(e[:, None, :], e[None, :, :], out=out.reshape(nk, nk, t.size))
-    out *= np.divide(k1, k2 - k1, out=np.zeros(nk * nk), where=~confluent)[:, None]
-    exact = np.flatnonzero(confluent & (delta == 0.0))
-    out[exact] = (k1[exact, None] * t) * e[i1[exact]]
-    near = np.flatnonzero(confluent & (delta != 0.0))
-    if near.size:
-        d = delta[near, None]
-        out[near] = k1[near, None] * e[i1[near]] * np.expm1(d * t) / d
-    np.maximum(out, 0.0, out=out)
-
-
 def _grid_cells(
     measured: Trace,
     tx: TransmitterSpec,
@@ -424,8 +431,8 @@ def _grid_cells(
     """Score the coarse (k1, k2, gamma) grid against a trace (see module doc).
 
     One pass over the trace in chunks of L = _GRID_BLOCK_ELEMENTS // k_grid^2
-    samples. Per chunk, _pair_bhat gives Bhat of every rate pair, which is
-    raised to the power b once; each gamma node then adds its partial
+    samples. Per chunk, kinetics._bhat gives Bhat of every rate pair, which
+    is raised to the power b once; each gamma node then adds its partial
     squared error. Running per-pair peaks and smallest positive Bhat give
     the definedness ends. Scores differ from a one-piece sum only by
     summation order.
@@ -457,7 +464,7 @@ def _grid_cells(
             meas = meas_v[start : start + chunk]
             bhat = bhat_buf[: pairs * t.size].reshape(pairs, t.size)
             block = block_buf[: pairs * t.size].reshape(pairs, t.size)
-            _pair_bhat(k_nodes, t, bhat)
+            kin_mod._bhat(k_nodes, k_nodes, t, out=bhat.reshape(k_nodes.size, k_nodes.size, -1))
             np.maximum(peak, bhat.max(axis=1), out=peak)
             np.minimum(low, np.min(bhat, axis=1, initial=np.inf, where=bhat > 0.0), out=low)
             np.power(bhat, sens.b, out=bhat)
@@ -481,6 +488,77 @@ def _grid_cells(
     return np.column_stack((flat[order], k_nodes[i], k_nodes[j], g_nodes[g]))
 
 
+class _TraceFit:
+    """Residual and Jacobian of the channel model on one trace, in p = (k1, k2, gamma).
+
+    Set up once per fit: C0 is linear in gamma, so c0 is C0 at gamma = 1,
+    and the caller checks the time array once. Both evaluate
+    B = c0 gamma Bhat(k1, k2, t) with kinetics._bhat. The residual maps B
+    to volts by channel._volts (NaN where the model is undefined). The
+    Jacobian is dV/dtheta = -(V^2/G) a b B^(b-1) dB/dtheta, with
+    G = ein rl / ro and dB/dgamma = B / gamma, evaluated as
+    -b V w (dB/dtheta) / B with w = a B^b / (f(B) + rl/ro) so that no
+    factor overflows; it is 0 where B = 0.
+    """
+
+    def __init__(self, measured: Trace, tx: TransmitterSpec, sensor: SensorSpec, s: float):
+        self.times = measured.times
+        self.volts = measured.volts
+        self.sensor = sensor
+        self.c0 = channel_mod.initial_concentration(dataclasses.replace(tx, gamma=1.0), s)
+
+    def residual(self, p):
+        b = kin_mod._bhat(p[:1], p[1:2], self.times, self.c0 * p[2])[0, 0]
+        return channel_mod._volts(b, self.sensor) - self.volts
+
+    def jacobian(self, p):
+        b, dk1, dk2 = (x[0, 0] for x in kin_mod._bhat(
+            p[:1], p[1:2], self.times, self.c0 * p[2], grad=True))
+        sensor, sens = self.sensor, self.sensor.sens
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ab = sens.a * b**sens.b
+            denom = ab + (sens.c + sensor.rl / sensor.ro)
+            volts = sensor.ein * sensor.rl / sensor.ro / denom
+            dv_db = np.where(b > 0.0, -sens.b * volts * (ab / denom) / b, 0.0)
+        return np.column_stack((dv_db * dk1, dv_db * dk2, dv_db * b / p[2]))
+
+    def problem(self, x0, search: SearchConfig) -> FitProblem:
+        """The bounded LM problem started at x0 = (k1, k2, gamma)."""
+        x0 = np.asarray(x0, dtype=float)
+        return FitProblem(
+            residual=self.residual,
+            bounds=(
+                (search.k_min, search.k_max),
+                (search.k_min, search.k_max),
+                (search.gamma_min, search.gamma_max),
+            ),
+            x0=x0,
+            scaling=np.maximum(np.abs(x0), 1e-3),
+            jacobian=self.jacobian,
+        )
+
+
+def _distinct_starts(cells: np.ndarray, search: SearchConfig) -> list:
+    """The (k1, k2, gamma) starts among the best refine_top grid cells.
+
+    A cell is skipped when its canonical triple (see canonicalize) lies
+    within one grid step, in each of log k1, log k2 and log gamma, of the
+    canonical triple of a start already taken: such cells are grid
+    neighbours or swap-scale mirrors that reach the same minimum. The start
+    itself is the grid cell, not its canonical triple.
+    """
+    k_step = math.log(search.k_max / search.k_min) / (search.k_grid - 1)
+    g_step = math.log(search.gamma_max / search.gamma_min) / (search.gamma_grid - 1)
+    reach = np.array([k_step, k_step, g_step]) * (1.0 + 1e-9)
+    starts, keys = [], []
+    for _, k1, k2, gamma in cells[: search.refine_top]:
+        key = np.log(canonicalize(k1, k2, gamma, search.gamma_min)[:3])
+        if not any(np.all(np.abs(key - other) <= reach) for other in keys):
+            starts.append((k1, k2, gamma))
+            keys.append(key)
+    return starts
+
+
 def estimate_channel_params(
     measured: Trace,
     tx: TransmitterSpec,
@@ -491,15 +569,18 @@ def estimate_channel_params(
     """Estimate (k1, k2, gamma) of a preprocessed voltage trace.
 
     Stage 1 scores every feasible cell of a log-spaced (k1, k2, gamma) grid
-    by MSE against the trace (see _grid_cells); stage 2 refines the best
-    refine_top cells with levenberg_marquardt and keeps the lowest-MSE
-    result, ties broken by the lexicographically smallest triple. The
-    result is canonicalized to k1 >= k2. The gamma field of tx is ignored;
-    gamma is estimated.
+    by MSE against the trace (see _grid_cells); stage 2 refines at most
+    refine_top distinct starts among the best cells (see _distinct_starts)
+    with levenberg_marquardt and its analytic Jacobian, and keeps the
+    lowest-MSE result, ties broken by the lexicographically smallest
+    triple. The result is canonicalized to k1 >= k2. Its fit is the kept
+    start's FitResult, with residual_evals and jacobian_evals summed over
+    every start. The gamma field of tx is ignored; gamma is estimated.
 
-    Raises InsufficientDataError for fewer than 4 samples and NoSignalError
-    for a flat trace. A best MSE above search.mse_threshold only sets
-    low_confidence, it is not an error.
+    Raises InsufficientDataError for fewer than 4 samples, NoSignalError
+    for a flat trace, and ValidationError for negative or non-finite
+    times. A best MSE above search.mse_threshold only sets low_confidence,
+    it is not an error.
     """
     if search is None:
         search = SearchConfig()
@@ -515,6 +596,7 @@ def estimate_channel_params(
             f"trace peak-to-peak span is below {search.flat_floor_v} V; "
             "nothing to fit"
         )
+    kin_mod._as_time_array(measured.times)
 
     cells = _grid_cells(measured, tx, sensor, s, search)
     if len(cells) == 0:
@@ -523,30 +605,18 @@ def estimate_channel_params(
             "transmitter and sensor configuration"
         )
 
-    bounds = (
-        (search.k_min, search.k_max),
-        (search.k_min, search.k_max),
-        (search.gamma_min, search.gamma_max),
-    )
-
-    def residual(p):
-        c0 = channel_mod.initial_concentration(dataclasses.replace(tx, gamma=p[2]), s)
-        volts = channel_mod._volts(c0, KineticsParams(p[0], p[1]), sensor, measured.times)
-        return volts - measured.volts
-
+    trace_fit = _TraceFit(measured, tx, sensor, s)
     candidates = []
-    for _, k1, k2, gamma in cells[: search.refine_top]:
-        x0 = np.array([k1, k2, gamma])
-        problem = FitProblem(
-            residual=residual,
-            bounds=bounds,
-            x0=x0,
-            scaling=np.maximum(np.abs(x0), 1e-3),
-        )
-        result = levenberg_marquardt(problem)
+    for x0 in _distinct_starts(cells, search):
+        result = levenberg_marquardt(trace_fit.problem(x0, search))
         candidates.append((result.mse, tuple(result.params), result))
     candidates.sort(key=lambda cand: (cand[0], cand[1]))
     best_mse, (k1, k2, gamma), best_fit = candidates[0]
+    best_fit = dataclasses.replace(
+        best_fit,
+        residual_evals=sum(c[2].residual_evals for c in candidates),
+        jacobian_evals=sum(c[2].jacobian_evals for c in candidates),
+    )
     k1, k2, gamma, canonical = canonicalize(k1, k2, gamma, search.gamma_min)
     return ChannelEstimate(
         k1=k1,

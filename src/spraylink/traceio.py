@@ -11,8 +11,9 @@ read_columns, the one reader of every CSV input of the package.
 
 from __future__ import annotations
 
+import contextlib
 import os
-import tempfile
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,12 +59,24 @@ class Trace:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write text to path via a same-directory temp file and rename.
+
+    The file ends with the mode a plain open() would leave: an existing
+    file keeps its mode, a new one gets 0o666 less the umask. An OSError
+    from creating the temp file names path, not the temp file.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -202,7 +215,7 @@ def preprocess(raw: Trace, t0="auto", noise_floor: float = DEFAULT_NOISE_FLOOR_V
         if not (raw.times[0] <= t0 <= raw.times[-1]):
             raise ValidationError(
                 f"t0 = {t0!r} outside trace span "
-                f"[{raw.times[0]!r}, {raw.times[-1]!r}]"
+                f"[{float(raw.times[0])!r}, {float(raw.times[-1])!r}]"
             )
     v0 = float(np.interp(t0, raw.times, raw.volts))
     keep = raw.times >= t0
@@ -236,8 +249,8 @@ def resample(trace: Trace, grid) -> Trace:
     g = np.asarray(grid, dtype=float)
     if g.size and (g[0] < trace.times[0] or g[-1] > trace.times[-1]):
         raise ValidationError(
-            f"grid [{g[0]!r}, {g[-1]!r}] extends beyond trace span "
-            f"[{trace.times[0]!r}, {trace.times[-1]!r}]"
+            f"grid [{float(g[0])!r}, {float(g[-1])!r}] extends beyond trace span "
+            f"[{float(trace.times[0])!r}, {float(trace.times[-1])!r}]"
         )
     new_v = np.interp(g, trace.times, trace.volts)
     meta = dict(trace.meta)

@@ -197,7 +197,7 @@ def test_volts_follow_the_sensor_composition(
     times = np.linspace(0.0, t_end, n)
     c0 = initial_concentration(bench_tx, s)
     b = bound_concentration(c0, kin, times)
-    volts = channel._volts(c0, kin, sensor, times)
+    volts = channel._volts(b, sensor)
     nan = np.isnan(volts)
     assert nan.any() == undefined
     # B = 0 is defined and gives exactly 0 V, at t = 0 and in an underflowed tail

@@ -326,6 +326,12 @@ HOSTILE_INPUTS = {
     "estimate_tiny_distance": (
         {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n0.3,0.05\n"},
         ["estimate", "t.csv", "--s", "1e-200"], EXIT_VALIDATION),
+    "estimate_t0_nan": (
+        {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n0.3,0.05\n"},
+        ["estimate", "t.csv", "--s", "1", "--t0", "nan"], EXIT_VALIDATION),
+    "estimate_t0_after_trace": (
+        {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n0.3,0.05\n"},
+        ["estimate", "t.csv", "--s", "1", "--t0", "5"], EXIT_VALIDATION),
     "simulate_negative_seed": (
         {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--noise", "0.01",
              "--seed", "-1", "--out", "out.csv"], EXIT_VALIDATION),
@@ -349,5 +355,7 @@ def test_hostile_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, na
 
     monkeypatch.setattr(np, "arange", no_allocation)
     assert main(argv) == expected
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "np.float64" not in err  # numbers print as plain floats
     assert not (tmp_path / "out.csv").exists()

@@ -161,6 +161,31 @@ def test_lm_probes_stay_inside_a_box_narrower_than_the_fd_step():
     assert lo <= result.params[0] <= hi
 
 
+def test_lm_counts_evaluations():
+    calls = {"residual": 0, "jacobian": 0}
+
+    def residual(p):
+        calls["residual"] += 1
+        return np.array([p[0] - 3.0, 2.0 * (p[1] + 1.0) ** 2])
+
+    def jacobian(p):
+        calls["jacobian"] += 1
+        return np.array([[1.0, 0.0], [0.0, 4.0 * (p[1] + 1.0)]])
+
+    box = ((-10.0, 10.0), (-10.0, 10.0))
+    results = {}
+    for name, jac in (("fd", None), ("analytic", jacobian)):
+        calls.update(residual=0, jacobian=0)
+        result = levenberg_marquardt(
+            FitProblem(residual=residual, bounds=box, x0=[0.0, 0.0], jacobian=jac)
+        )
+        assert result.residual_evals == calls["residual"]  # FD columns included
+        assert result.jacobian_evals == calls["jacobian"]
+        results[name] = result
+    assert results["fd"].jacobian_evals == 0 < results["analytic"].jacobian_evals
+    assert results["analytic"].residual_evals < results["fd"].residual_evals
+
+
 def test_fd_jacobian_against_analytic():
     a, b, c = 0.0116, -0.5855, -0.0743
     x = np.logspace(-4, -2, 20)
@@ -391,13 +416,29 @@ def test_grid_cells_match_per_cell_model(
 )
 @pytest.mark.parametrize("t_end", [1.0, 10.0, 200.0])  # down to underflowed tails
 def test_pair_bhat_equals_bound_concentration_bit_for_bit(search, t_end):
+    # the kernel over all rate pairs, and bound_concentration per pair, equal
+    # the closed forms written out per pair in their original operation order
     k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
     t = np.linspace(0.0, t_end, 301)
-    out = np.empty((k_nodes.size**2, t.size))
-    fitting._pair_bhat(k_nodes, t, out)
-    ref = [kinetics.bound_concentration(1.0, KineticsParams(k1, k2), t)
-           for k1 in k_nodes for k2 in k_nodes]
-    assert np.array_equal(out, np.array(ref))
+    for c0 in (1.0, 1.3602e-3):
+        ref = np.array([[_closed_form_b(c0, k1, k2, t) for k2 in k_nodes] for k1 in k_nodes])
+        assert np.array_equal(kinetics._bhat(k_nodes, k_nodes, t, c0), ref)
+        per_pair = [[kinetics.bound_concentration(c0, KineticsParams(k1, k2), t)
+                     for k2 in k_nodes] for k1 in k_nodes]
+        assert np.array_equal(np.array(per_pair), ref)
+
+
+def _closed_form_b(c0, k1, k2, t):
+    """B(t) by the branch of the kinetics module doc for one rate pair."""
+    delta = k1 - k2
+    if abs(delta) < kinetics.CONFLUENT_REL_TOL * max(k1, k2):
+        if delta == 0.0:
+            b = c0 * k1 * t * np.exp(-k1 * t)
+        else:
+            b = c0 * k1 * np.exp(-k1 * t) * np.expm1(delta * t) / delta
+    else:
+        b = k1 * c0 / (k2 - k1) * (np.exp(-k1 * t) - np.exp(-k2 * t))
+    return np.maximum(b, 0.0)
 
 
 def test_grid_refuses_pairs_at_their_first_sample(bench_tx, bench_sensor):
@@ -455,6 +496,67 @@ def test_grid_scoring_memory_is_bounded(bench_tx, bench_sensor):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def _criterion_07_traces(bench_tx, bench_sensor):
+    """The 80 noisy traces of acceptance criterion 07, as (s, trace)."""
+    for s in (0.9, 1.0, 1.1, 1.2):
+        for seed in range(20):
+            trace = _synthetic_trace(
+                bench_tx, bench_sensor, 2.0, 0.5, 3.0, s=s, sigma=0.01, seed=seed * 37 + int(s * 10)
+            )
+            yield s, trace
+
+
+def test_distinct_starts_lose_nothing_against_every_top_cell(bench_tx, bench_sensor):
+    search = SearchConfig()
+    skipped = 0
+    for s, trace in _criterion_07_traces(bench_tx, bench_sensor):
+        est = estimate_channel_params(trace, bench_tx, bench_sensor, s, search)
+        cells = fitting._grid_cells(trace, bench_tx, bench_sensor, s, search)
+        trace_fit = fitting._TraceFit(trace, bench_tx, bench_sensor, s)
+        every = min(
+            levenberg_marquardt(trace_fit.problem(cell[1:], search)).mse
+            for cell in cells[: search.refine_top]
+        )
+        assert est.mse <= every * (1.0 + 1e-12), (s, est.mse, every)
+        skipped += search.refine_top - len(fitting._distinct_starts(cells, search))
+    assert skipped > 0  # the rule is exercised
+
+
+def test_distinct_starts_skip_neighbours_and_mirrors():
+    search = SearchConfig()
+    k = np.geomspace(search.k_min, search.k_max, search.k_grid)
+    g = np.geomspace(search.gamma_min, search.gamma_max, search.gamma_grid)
+    cells = np.array([
+        [1.0, k[8], k[5], g[2]],
+        [2.0, k[5], k[8], g[5]],  # swap-scale mirror of the first
+        [3.0, k[9], k[4], g[3]],  # one step from the first in each coordinate
+        [4.0, k[10], k[5], g[2]],  # two steps in k1: a start of its own
+        [5.0, k[8], k[5], g[2]],
+        [6.0, k[0], k[0], g[0]],  # beyond refine_top
+    ])
+    assert fitting._distinct_starts(cells, search) == [
+        (k[8], k[5], g[2]), (k[10], k[5], g[2])
+    ]
+    one = SearchConfig(refine_top=1)
+    assert fitting._distinct_starts(cells, one) == [(k[8], k[5], g[2])]
+
+
+def test_fit_makes_a_quarter_of_the_residual_calls(bench_tx, bench_sensor):
+    # finite differences with five starts took about 150 residual calls per fit
+    for s in (0.9, 1.0, 1.1, 1.2):
+        trace = _synthetic_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, s=s, sigma=0.01, seed=7)
+        assert len(trace) == 1001
+        fit = estimate_channel_params(trace, bench_tx, bench_sensor, s).fit
+        assert fit.residual_evals <= 150 // 4, (s, fit.residual_evals)
+        assert 1 <= fit.jacobian_evals <= fit.residual_evals
+
+
+def test_estimate_refuses_negative_times(bench_tx, bench_sensor):
+    trace = make_trace(np.linspace(-1.0, 9.0, 101), np.linspace(0.0, 0.5, 101))
+    with pytest.raises(ValidationError, match="time must be finite and >= 0"):
+        estimate_channel_params(trace, bench_tx, bench_sensor, 1.0)
 
 
 def test_estimate_needs_four_samples(bench_tx, bench_sensor):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spraylink import kinetics
 from spraylink.errors import ValidationError
 from spraylink.kinetics import (
     KineticsParams,
@@ -155,3 +156,21 @@ def test_rk4_randomized_sweep():
         rel = np.abs(b[mask] - b_exact[mask]) / b_exact[mask]
         assert np.max(rel) < 1e-6, (k1, k2, np.max(rel))
         assert np.max(np.abs(c + b + z - 1.0)) < 1e-8
+
+
+def test_bhat_rate_derivative_across_its_two_forms():
+    # dB/dk2 = -k1 t^2 e^{-k1 t} phi'(x), x = (k1 - k2) t, phi(x) = expm1(x) / x.
+    # phi'(x) = (x e^x - expm1(x)) / x^2 is accurate to about eps / |x| for
+    # 1e-5 <= |x| <= 1, a band around |x| = 1e-2, where the kernel switches
+    # from the series of phi' to the two-exponential form.
+    t = np.linspace(0.0, 20.0, 2001)
+    for k1, k2 in ((2.0, 1.995), (2.0, 2.005), (0.5, 0.45)):
+        b, dk1, dk2 = (out[0, 0] for out in kinetics._bhat([k1], [k2], t, grad=True))
+        x = (k1 - k2) * t
+        band = (np.abs(x) >= 1e-5) & (np.abs(x) <= 1.0)
+        assert (np.abs(x[band]) < 1e-2).any() and (np.abs(x[band]) > 1e-2).any()
+        xb, tb = x[band], t[band]
+        ref = -k1 * tb**2 * np.exp(-k1 * tb) * (xb * np.exp(xb) - np.expm1(xb)) / xb**2
+        np.testing.assert_allclose(dk2[band], ref, rtol=1e-9)
+        np.testing.assert_array_equal(dk1, b * (1.0 / k1 - t) - dk2)
+        np.testing.assert_array_equal(b, bound_concentration(1.0, KineticsParams(k1, k2), t))

@@ -2,14 +2,17 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spraylink import fitting, kinetics
 from spraylink.channel import TransmitterSpec, response_voltages
 from spraylink.kinetics import KineticsParams
 from spraylink.sensor import MQ3_SENSITIVITY, SensorSpec
+from spraylink.traceio import Trace
 
 TX = TransmitterSpec(q=2.204e-6, te=0.5, rho_d=789.0, theta=math.radians(38.0))
 SENSOR = SensorSpec(ein=5.0, rl=1000.0, ro=24000.0, sens=MQ3_SENSITIVITY)
@@ -34,3 +37,41 @@ def test_response_is_invariant_under_swap_scale(k2, rate_ratio, gamma_share):
         dataclasses.replace(TX, gamma=gamma * k1 / k2), KineticsParams(k2, k1), SENSOR, 1.0, TIMES
     )
     np.testing.assert_allclose(swapped, direct, rtol=1e-9, atol=0.0)
+
+
+_RATE = st.one_of(
+    st.sampled_from([0.05, 50.0]),  # on a bound of the default box
+    st.floats(math.log(0.05), math.log(50.0)).map(math.exp),
+)
+
+
+@settings(deadline=None)
+@given(
+    k1=_RATE,
+    k2=_RATE,
+    # None: an independent k2; 0: the exact diagonal; else near-confluent
+    confluence=st.one_of(st.none(), st.just(0.0), st.floats(-1e-5, 1e-5)),
+    gamma=st.one_of(st.sampled_from([1.0, 25.0]), st.floats(1.0, 25.0)),
+)
+def test_channel_jacobian_matches_finite_differences(k1, k2, confluence, gamma):
+    # TIMES starts at t = 0, where B = 0. The oracle is the mean of a
+    # forward and a backward _fd_jacobian (a central difference, step 1e-5
+    # relative) of a model that takes the expm1 form off the exact
+    # diagonal: the two-exponential form's cancellation near confluence,
+    # about eps / |(k1 - k2) t| relative, would swamp any difference step.
+    if confluence is not None:
+        k2 = min(max(k1 * (1.0 + confluence), 0.05), 50.0)
+    p = np.array([k1, k2, gamma])
+    trace_fit = fitting._TraceFit(Trace(TIMES, np.zeros_like(TIMES)), TX, SENSOR, 1.0)
+    jac = trace_fit.jacobian(p)
+    with mock.patch.object(kinetics, "CONFLUENT_REL_TOL", 1.0):
+        r0 = trace_fit.residual(p)
+        step = 10.0 * np.abs(p)  # times FD_RELATIVE_STEP
+        fd = 0.5 * (
+            fitting._fd_jacobian(trace_fit.residual, p, r0, step, np.full(3, np.inf))
+            + fitting._fd_jacobian(trace_fit.residual, p, r0, step, p)  # flipped steps
+        )
+    assert np.all(np.isfinite(jac))
+    assert np.all(jac[0] == 0.0)  # B = 0 at t = 0
+    err = np.max(np.abs(jac - fd), axis=0)
+    assert np.all(err <= 1e-6 * np.linalg.norm(fd, axis=0)), err / np.linalg.norm(fd, axis=0)

@@ -1,5 +1,8 @@
 """Trace model, CSV round trips, preprocessing, and resampling."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from spraylink.errors import NoSignalError, ParseError, ValidationError
 from spraylink.sensor import load_sensitivity_table
 from spraylink.traceio import (
     Trace,
+    atomic_write_text,
     detect_onset,
     load_trace,
     preprocess,
@@ -239,3 +243,43 @@ def test_resample_interpolation_error_bound(bench_tx, bench_sensor):
     direct = sample_response(bench_tx, kin, bench_sensor, 1.0, grid)
     err = interped.volts - direct.volts
     assert float(err @ err) / err.size < 1e-8
+
+
+@pytest.mark.parametrize(
+    "umask, mode",
+    [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+    ids=["umask022", "umask077", "umask002"],
+)
+def test_written_files_get_the_plain_open_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "est.json", "{}\n")
+        store_trace(make_trace([0.0, 1.0], [0.0, 0.5]), tmp_path / "trace.csv")
+        (tmp_path / "kept.json").write_text("")
+        os.chmod(tmp_path / "kept.json", 0o640)
+        atomic_write_text(tmp_path / "kept.json", "{}\n")  # replaced, mode kept
+    finally:
+        os.umask(old)
+    for name in ("est.json", "trace.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+    assert stat.S_IMODE(os.stat(tmp_path / "kept.json").st_mode) == 0o640
+    assert (tmp_path / "kept.json").read_text() == "{}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["est.json", "kept.json", "trace.csv"]
+
+
+def test_write_into_missing_directory_names_the_target(tmp_path):
+    target = tmp_path / "missing" / "est.json"
+    with pytest.raises(FileNotFoundError) as err:
+        atomic_write_text(target, "{}\n")
+    assert err.value.filename == str(target)
+    assert str(target) in str(err.value) and ".tmp" not in str(err.value)
+
+
+def test_range_errors_print_plain_floats():
+    trace = make_trace([0.0, 10.0], [0.0, 1.0])
+    with pytest.raises(ValidationError) as err:
+        preprocess(trace, t0=float("nan"))
+    assert str(err.value) == "t0 = nan outside trace span [0.0, 10.0]"
+    with pytest.raises(ValidationError) as err:
+        resample(trace, np.array([0.5, 11.0]))
+    assert str(err.value) == "grid [0.5, 11.0] extends beyond trace span [0.0, 10.0]"
