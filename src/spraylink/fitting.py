@@ -19,11 +19,25 @@ Bhat the adhered concentration for C0 = 1, and C0 linear in gamma. One
 kernel, kinetics._bhat, gives Bhat (and its rate derivatives) for the grid,
 the LM residual and its Jacobian alike. The grid's sensitivity is
 f(B) = a C0^b Bhat^b + c. It makes one pass over the trace in time chunks:
-per chunk, one exp(-k t) row per rate node gives Bhat^b for every rate pair
-at once, and each gamma node adds its partial squared error through an
-affine map and the divider. Both stages mask where channel._defined fails:
-the grid at each rate pair's largest and smallest positive B, and LM
-through the NaN of channel._volts.
+per chunk, one exp(-k t) row per rate node gives Bhat^b for every live rate
+pair at once, and each live (gamma, pair) cell adds its partial squared
+error through an affine map and the divider. Both stages mask where
+channel._defined fails: the grid at each rate pair's largest and smallest
+positive B, and LM through the NaN of channel._volts.
+
+LM refines only the refine_top best grid cells, so the grid scores in full
+only the cells that can still finish among them. It abandons the others
+early, as in squared-distance search (Rakthanmanon et al., "Searching and
+mining trillions of time series subsequences under dynamic time warping",
+KDD 2012), with a bound that is exact. A strided pre-pass scores every cell
+on at most one chunk of samples; its 2 refine_top best cells, scored over
+the whole trace, give an upper bound tau on the refine_top-th best sum of
+squared errors (SSE). A cell is
+dropped as soon as its pre-pass SSE or its running SSE exceeds tau. Squared
+errors are >= 0, so a sum over a subset of the samples is at most the sum
+over all of them, and a running sum never decreases from chunk to chunk:
+no cell that scores at most tau is dropped. The kept cells, and their
+scores bit for bit, are those of the full grid.
 
 The adhesion/detachment model is exactly degenerate under swapping k1 and
 k2 while rescaling gamma (B(t; C0 g, k1, k2) = B(t; C0 g k1/k2, k2, k1)),
@@ -65,6 +79,13 @@ RANK_DEFICIENT_COND = 1e8
 # stage (L samples, at least one, for every rate pair), so scratch memory
 # stays flat in trace length.
 _GRID_BLOCK_ELEMENTS = 2**15
+
+# Relative slack of the grid's pruning bound over the rounding of its sums.
+_PRUNE_SLACK = 1e-9
+
+# Most grid cells a search may ask for. The grid keeps a few float64 arrays
+# of one entry per cell, so this caps them at a few hundred MB.
+_MAX_GRID_CELLS = 2**24
 
 
 @dataclass
@@ -173,7 +194,13 @@ class SearchConfig:
     has been measured. refine_top bounds the LM starts: at most refine_top
     distinct starts among the refine_top best grid cells, where a cell
     within one grid step of a start already taken, directly or as its
-    swap-scale mirror, is skipped.
+    swap-scale mirror, is skipped. refine_top also sets how many cells the
+    grid scores in full: it drops a cell once the cell cannot finish among
+    the refine_top best (see _grid_cells).
+
+    The box bounds and the thresholds must be finite, the thresholds >= 0,
+    and the grid may have at most _MAX_GRID_CELLS (2^24) cells,
+    k_grid^2 * gamma_grid.
     """
 
     k_min: float = 0.05
@@ -191,10 +218,23 @@ class SearchConfig:
             raise ValidationError("need 0 < k_min < k_max")
         if not (1.0 <= self.gamma_min < self.gamma_max):
             raise ValidationError("need 1 <= gamma_min < gamma_max")
+        if not (math.isfinite(self.k_max) and math.isfinite(self.gamma_max)):
+            raise ValidationError(
+                f"k_max and gamma_max must be finite, got {self.k_max!r} and {self.gamma_max!r}"
+            )
         if self.k_grid < 2 or self.gamma_grid < 2:
             raise ValidationError("grid sizes must be >= 2")
+        cells = self.k_grid**2 * self.gamma_grid
+        if cells > _MAX_GRID_CELLS:
+            raise ValidationError(
+                f"k_grid^2 * gamma_grid = {cells} grid cells, more than the {_MAX_GRID_CELLS} allowed"
+            )
         if self.refine_top < 1:
             raise ValidationError("refine_top must be >= 1")
+        for name in ("mse_threshold", "flat_floor_v"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -427,20 +467,37 @@ def _grid_cells(
     sensor: SensorSpec,
     s: float,
     search: SearchConfig,
+    keep: int | None = None,
 ) -> np.ndarray:
     """Score the coarse (k1, k2, gamma) grid against a trace (see module doc).
 
     One pass over the trace in chunks of L = _GRID_BLOCK_ELEMENTS // k_grid^2
-    samples. Per chunk, kinetics._bhat gives Bhat of every rate pair, which
-    is raised to the power b once; each gamma node then adds its partial
-    squared error. Running per-pair peaks and smallest positive Bhat give
-    the definedness ends. Scores differ from a one-piece sum only by
-    summation order.
+    samples. Per chunk, kinetics._bhat gives Bhat of every rate pair with a
+    live cell, which is raised to the power b once; each live (gamma, pair)
+    cell then adds its partial squared error. Running per-pair peaks and
+    smallest positive Bhat give the definedness ends. Scores differ from a
+    one-piece sum only by summation order.
 
     Returns one row (mse, k1, k2, gamma) per feasible cell, sorted by MSE,
     ties broken by the smallest triple. Bhat = 0 gives Bhat^b = inf and so
     exactly 0 V, the model's B -> 0 limit. A cell is left out where
     channel._defined fails at its largest or its smallest positive B.
+
+    Without keep every cell is live throughout. With keep, the result is the
+    prefix of that full list (same cells, order and scores) that holds
+    every cell whose SSE is at most a bound tau, and so at least the keep
+    best cells; the other cells are dropped as soon as they are known to
+    score above tau. A strided pre-pass scores every cell on the samples
+    times[::ceil(n / L)], at most one chunk. The 2 keep best of it are
+    scored over the whole trace, and tau is the keep-th smallest SSE among
+    the feasible ones, times 1 + _PRUNE_SLACK (inf with fewer than keep).
+    The main pass then drops a cell once its subset SSE exceeds
+    tau (1 + _PRUNE_SLACK) or its running SSE exceeds tau. Both tests are
+    exact, because squared errors are >= 0: a subset sum is at most the
+    full sum (the two sums round differently, by far less than the slack),
+    and the running sum never decreases from chunk to chunk. So a cell
+    whose SSE is at most tau is never dropped, and a cell left live to the
+    end is kept only if its SSE is at most tau.
     """
     sens = sensor.sens
     k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
@@ -450,35 +507,77 @@ def _grid_cells(
     offset = sens.c + sensor.rl / sensor.ro
     gain = sensor.ein * sensor.rl / sensor.ro
     times, meas_v = measured.times, measured.volts
-    n = meas_v.size
-    pairs = k_nodes.size**2
+    n, k = meas_v.size, k_nodes.size
+    pairs = k * k
     chunk = max(1, _GRID_BLOCK_ELEMENTS // pairs)
     bhat_buf = np.empty(pairs * chunk)
     block_buf = np.empty(pairs * chunk)
     peak = np.zeros(pairs)
     low = np.full(pairs, np.inf)
     sse = np.zeros((g_nodes.size, pairs))
+    alive = np.ones(sse.shape, dtype=bool)
+
+    def add_chunk(t, meas, cells, sums):
+        """Add the squared errors at times t of the (gamma, pair) cells set in cells to sums."""
+        live = np.flatnonzero(cells.any(axis=0))
+        bhat = bhat_buf[: live.size * t.size].reshape(live.size, t.size)
+        if live.size == pairs:  # every pair: no gathers
+            kin_mod._bhat(k_nodes, k_nodes, t, out=bhat.reshape(k, k, t.size))
+        else:
+            work = block_buf[: live.size * t.size].reshape(live.size, t.size)
+            kin_mod._bhat(k_nodes, k_nodes, t, out=bhat, pairs=np.divmod(live, k), work=work)
+        peak[live] = np.maximum(peak[live], bhat.max(axis=1))
+        low[live] = np.minimum(low[live], np.min(bhat, axis=1, initial=np.inf, where=bhat > 0.0))
+        np.power(bhat, sens.b, out=bhat)
+        g_of, row_of = np.nonzero(cells[:, live])
+        for a in range(0, g_of.size, pairs):  # pairs rows of <= L samples fill block_buf
+            g, rows = g_of[a : a + pairs], row_of[a : a + pairs]
+            part = block_buf[: rows.size * t.size].reshape(-1, t.size)
+            if rows.size == live.size and g[0] == g[-1]:  # one gamma node, every live pair
+                np.multiply(slope[g[0]], bhat, out=part)
+            else:
+                np.take(bhat, rows, axis=0, out=part)
+                part *= slope[g, None]
+            part += offset
+            np.divide(gain, part, out=part)
+            part -= meas
+            sums[g, live[rows]] += np.einsum("ij,ij->i", part, part)
+
+    def sorted_full_sse(cells):
+        """Sorted SSEs over the whole trace of the feasible ones among flat (gamma, pair) cells."""
+        out = []
+        g_of, p_of = np.unravel_index(cells, sse.shape)
+        for p in set(p_of.tolist()):
+            i, j = divmod(p, k)
+            b = kin_mod._bhat(k_nodes[i : i + 1], k_nodes[j : j + 1], times)[0, 0]
+            top = b.max()
+            b_ends = np.array([top, min(np.min(b, initial=np.inf, where=b > 0.0), top)])
+            b_pow = b**sens.b
+            for g in g_of[p_of == p]:
+                ends = c0[g] * b_ends
+                if channel_mod._defined(ends, sens.a * ends**sens.b + sens.c).all():
+                    diff = gain / (slope[g] * b_pow + offset) - meas_v
+                    out.append(float(diff @ diff))
+        return sorted(out)
+
+    tau = np.inf
     with np.errstate(divide="ignore", over="ignore"):
+        if keep is not None:
+            stride = -(-n // chunk)
+            sub = np.zeros_like(sse)
+            add_chunk(times[::stride], meas_v[::stride], alive, sub)
+            best = sorted_full_sse(np.argsort(sub, axis=None, kind="stable")[: 2 * keep])
+            if len(best) >= keep:
+                tau = best[keep - 1] * (1.0 + _PRUNE_SLACK)
+            alive = ~(sub > tau * (1.0 + _PRUNE_SLACK))
         for start in range(0, n, chunk):
-            t = times[start : start + chunk]
-            meas = meas_v[start : start + chunk]
-            bhat = bhat_buf[: pairs * t.size].reshape(pairs, t.size)
-            block = block_buf[: pairs * t.size].reshape(pairs, t.size)
-            kin_mod._bhat(k_nodes, k_nodes, t, out=bhat.reshape(k_nodes.size, k_nodes.size, -1))
-            np.maximum(peak, bhat.max(axis=1), out=peak)
-            np.minimum(low, np.min(bhat, axis=1, initial=np.inf, where=bhat > 0.0), out=low)
-            np.power(bhat, sens.b, out=bhat)
-            for g in range(g_nodes.size):
-                np.multiply(slope[g], bhat, out=block)
-                block += offset
-                np.divide(gain, block, out=block)
-                block -= meas
-                sse[g] += np.einsum("ij,ij->i", block, block)
+            add_chunk(times[start : start + chunk], meas_v[start : start + chunk], alive, sse)
+            alive &= ~(sse > tau)
         # a pair with no positive Bhat has peak 0 and checks B = 0 at both ends
         ends = c0[:, None, None] * np.stack((peak, np.minimum(low, peak)), axis=-1)
         ratio = sens.a * ends**sens.b + sens.c
-    ok = channel_mod._defined(ends, ratio).all(axis=2)
-    scores = np.where(ok, sse / n, np.inf).T.reshape(k_nodes.size, k_nodes.size, g_nodes.size)
+    ok = channel_mod._defined(ends, ratio).all(axis=2) & alive
+    scores = np.where(ok, sse / n, np.inf).T.reshape(k, k, g_nodes.size)
     flat = scores.ravel()
     feasible_idx = np.flatnonzero(flat < np.inf)
     # Flat indices run over (k1, k2, gamma) in node order, so a stable sort
@@ -598,7 +697,7 @@ def estimate_channel_params(
         )
     kin_mod._as_time_array(measured.times)
 
-    cells = _grid_cells(measured, tx, sensor, s, search)
+    cells = _grid_cells(measured, tx, sensor, s, search, keep=search.refine_top)
     if len(cells) == 0:
         raise ValidationError(
             "model is not evaluable anywhere in the search box; check the "

@@ -68,7 +68,7 @@ def free_concentration(c0: float, kin: KineticsParams, t):
     return _match(c0 * np.exp(-kin.k1 * tt), t)
 
 
-def _bhat(k1, k2, t, c0=1.0, grad=False, out=None):
+def _bhat(k1, k2, t, c0=1.0, grad=False, out=None, pairs=None, work=None):
     """B(t) of every rate pair (k1[i], k2[j]), unchecked; shape (k1.size, k2.size, t.size).
 
     k1 and k2 are 1-D arrays of rates, t a 1-D array of times; c0 scales
@@ -77,7 +77,11 @@ def _bhat(k1, k2, t, c0=1.0, grad=False, out=None):
     bound_concentration documents, in one operation order: the
     two-exponential form, c0 k1 t e^{-k1 t} on the exact diagonal, the
     expm1 form within CONFLUENT_REL_TOL, then a clip at 0. out, if given,
-    receives B.
+    receives B. pairs, if given, is a pair of index arrays (i, j): only the
+    rate pairs (k1[i], k2[j]) are evaluated, by the same operations, as
+    rows of shape (i.size, t.size); it does not combine with grad. work, if
+    given with pairs, is an array of that shape that receives the gathered
+    exp(-k2[j] t) rows, so that no temporary of B's size is allocated.
 
     With grad, returns (B, dB/dk1, dB/dk2). dB/dk2 is
     (c0 k1 t e^{-k2 t} - B) / (k2 - k1), whose cancellation costs about
@@ -94,13 +98,23 @@ def _bhat(k1, k2, t, c0=1.0, grad=False, out=None):
     k1c0 = k1 * c0
     delta = k1 - k2
     confluent = np.abs(delta) < CONFLUENT_REL_TOL * np.maximum(k1, k2)
-    b = np.subtract(e1[:, None, :], e2[None, :, :], out=out)
-    b *= (k1c0 / np.where(confluent, np.inf, -delta))[..., None]
-    i, j = np.nonzero(confluent)
+    scale = k1c0 / np.where(confluent, np.inf, -delta)
+    if pairs is None:
+        b = np.subtract(e1[:, None, :], e2[None, :, :], out=out)
+        i, j = np.nonzero(confluent)
+        at = (i, j)
+    else:
+        i, j = pairs
+        b = np.take(e1, i, axis=0, out=out)
+        b -= np.take(e2, j, axis=0, out=work)
+        scale = scale[i, j]
+        at = np.flatnonzero(confluent[i, j])
+        i, j = i[at], j[at]
+    b *= scale[..., None]
     if i.size:
         d, a, e = delta[i, j][:, None], k1c0[i], e1[i]
         with np.errstate(invalid="ignore"):  # 0/0 on the diagonal, not selected
-            b[i, j] = np.where(d == 0.0, (a * t) * e, a * e * np.expm1(d * t) / d)
+            b[at] = np.where(d == 0.0, (a * t) * e, a * e * np.expm1(d * t) / d)
     np.maximum(b, 0.0, out=b)
     if not grad:
         return b

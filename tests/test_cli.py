@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from spraylink import fitting
 from spraylink.cli import (
     EXIT_IO,
     EXIT_LOW_CONFIDENCE,
@@ -336,6 +338,42 @@ HOSTILE_INPUTS = {
         {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--noise", "0.01",
              "--seed", "-1", "--out", "out.csv"], EXIT_VALIDATION),
 }
+
+# [search] settings the grid cannot run on, each refused as the config loads
+SEARCH_REFUSALS = {
+    "k_grid_huge": "k_grid = 100000",  # 74.5 GiB of grid scratch
+    "gamma_grid_huge": "gamma_grid = 100000000",  # 191 GiB of per-cell scores
+    "k_max_inf": "k_max = inf",
+    "gamma_max_inf": "gamma_max = inf",
+    "mse_threshold_nan": "mse_threshold = nan",
+    "mse_threshold_negative": "mse_threshold = -0.1",
+    "flat_floor_nan": "flat_floor_v = nan",
+    "flat_floor_inf": "flat_floor_v = inf",
+}
+_FOUR_SAMPLES = b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n0.3,0.05\n"
+HOSTILE_INPUTS.update({
+    f"search_{name}": (
+        {"c.ini": f"[search]\n{setting}\n".encode(), "t.csv": _FOUR_SAMPLES},
+        ["--config", "c.ini", "estimate", "t.csv", "--s", "1"], EXIT_VALIDATION)
+    for name, setting in SEARCH_REFUSALS.items()
+})
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_REFUSALS))
+def test_search_refusals_score_no_grid_and_warn_nothing(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text(f"[search]\n{SEARCH_REFUSALS[name]}\n")
+    (tmp_path / "t.csv").write_bytes(_FOUR_SAMPLES)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid scored")
+
+    monkeypatch.setattr(fitting, "_grid_cells", no_grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        assert main(["--config", "c.ini", "estimate", "t.csv", "--s", "1"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))

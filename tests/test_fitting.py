@@ -364,31 +364,32 @@ _CHUNK = fitting._GRID_BLOCK_ELEMENTS // _DEFAULT.k_grid**2
 
 
 # (k1, k2, gamma, s, duration, samples, sensitivity, search) of a noisy trace
-@pytest.mark.parametrize(
-    "k1, k2, gamma, s, t_end, n, sens, search",
-    [
-        pytest.param(
-            2.0, 0.5, 3.0, 0.5, 10.0, 1001, None, _DEFAULT, id="near_field_infeasible"
-        ),
-        pytest.param(
-            _CONFLUENT_K, 1.01 * _CONFLUENT_K, 2.5, 1.0, 10.0, 1001, None, _DEFAULT,
-            id="confluent",
-        ),
-        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 5001, None, _DEFAULT, id="split_gamma_blocks"),
-        pytest.param(
-            2.0, 0.5, 3.0, 1.0, 10.0, 1001, _STEEP, _DEFAULT, id="steep_tail_overflow"
-        ),
-        # fast cells decay into subnormal Bhat whose B = c0 * Bhat rounds to 0
-        pytest.param(2.0, 0.5, 3.0, 1.0, 100.0, 2001, None, _DEFAULT, id="tail_underflow"),
-        pytest.param(1.0, 1.0, 2.0, 1.0, 10.0, 1001, None, _EXPM1_BOX, id="expm1_branch"),
-        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 50, None, _DEFAULT, id="shorter_than_a_chunk"),
-        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, _CHUNK, None, _DEFAULT, id="one_full_chunk"),
-        pytest.param(
-            2.0, 0.5, 3.0, 1.0, 10.0, _CHUNK + 1, None, _DEFAULT, id="one_sample_past_a_chunk"
-        ),
-        pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 2001, None, _SMALL_GRID, id="small_grid"),
-    ],
-)
+_GRID_CASE_ARGS = "k1, k2, gamma, s, t_end, n, sens, search"
+_GRID_CASES = [
+    pytest.param(
+        2.0, 0.5, 3.0, 0.5, 10.0, 1001, None, _DEFAULT, id="near_field_infeasible"
+    ),
+    pytest.param(
+        _CONFLUENT_K, 1.01 * _CONFLUENT_K, 2.5, 1.0, 10.0, 1001, None, _DEFAULT,
+        id="confluent",
+    ),
+    pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 5001, None, _DEFAULT, id="split_gamma_blocks"),
+    pytest.param(
+        2.0, 0.5, 3.0, 1.0, 10.0, 1001, _STEEP, _DEFAULT, id="steep_tail_overflow"
+    ),
+    # fast cells decay into subnormal Bhat whose B = c0 * Bhat rounds to 0
+    pytest.param(2.0, 0.5, 3.0, 1.0, 100.0, 2001, None, _DEFAULT, id="tail_underflow"),
+    pytest.param(1.0, 1.0, 2.0, 1.0, 10.0, 1001, None, _EXPM1_BOX, id="expm1_branch"),
+    pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 50, None, _DEFAULT, id="shorter_than_a_chunk"),
+    pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, _CHUNK, None, _DEFAULT, id="one_full_chunk"),
+    pytest.param(
+        2.0, 0.5, 3.0, 1.0, 10.0, _CHUNK + 1, None, _DEFAULT, id="one_sample_past_a_chunk"
+    ),
+    pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 2001, None, _SMALL_GRID, id="small_grid"),
+]
+
+
+@pytest.mark.parametrize(_GRID_CASE_ARGS, _GRID_CASES)
 def test_grid_cells_match_per_cell_model(
     bench_tx, bench_sensor, k1, k2, gamma, s, t_end, n, sens, search
 ):
@@ -409,6 +410,52 @@ def test_grid_cells_match_per_cell_model(
         assert search.k_max - search.k_min < kinetics.CONFLUENT_REL_TOL * search.k_min
     if search is _SMALL_GRID:
         assert fitting._GRID_BLOCK_ELEMENTS // search.k_grid**2 < n  # two chunks
+
+
+def _assert_pruned_prefix(pruned, full, keep):
+    """The pruned grid is the full grid's prefix, bit for bit, with the keep best cells."""
+    assert len(pruned) >= min(keep, len(full))
+    assert np.array_equal(pruned, full[: len(pruned)])
+
+
+@pytest.mark.parametrize(
+    _GRID_CASE_ARGS,
+    _GRID_CASES
+    + [pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 20001, None, _DEFAULT, id="20001_samples")],
+)
+def test_pruned_grid_is_a_prefix_of_the_full_grid(
+    bench_tx, bench_sensor, k1, k2, gamma, s, t_end, n, sens, search
+):
+    sensor = bench_sensor if sens is None else dataclasses.replace(bench_sensor, sens=sens)
+    trace = _noisy_trace(bench_tx, sensor, k1, k2, gamma, s, np.linspace(0.0, t_end, n))
+    full = fitting._grid_cells(trace, bench_tx, sensor, s, search)
+    for keep in (1, search.refine_top):
+        pruned = fitting._grid_cells(trace, bench_tx, sensor, s, search, keep=keep)
+        _assert_pruned_prefix(pruned, full, keep)
+        if n >= 1001 and search is _DEFAULT:
+            assert len(pruned) < len(full) // 10  # the bound prunes
+    # with keep at least the feasible cells, tau is inf or above every score
+    for keep in (len(full), search.k_grid**2 * search.gamma_grid):
+        assert np.array_equal(fitting._grid_cells(trace, bench_tx, sensor, s, search, keep=keep), full)
+
+
+@pytest.mark.parametrize("n, dt", [(1001, 0.01), (20001, 0.0005)], ids=["fit_1k", "fit_20k"])
+def test_pruned_grid_evaluates_under_two_fifths_of_bhat(bench_tx, bench_sensor, monkeypatch, n, dt):
+    # (rate pairs x samples) of Bhat per grid; the full grid makes k_grid^2 n
+    trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, np.arange(n) * dt)
+    bhat = kinetics._bhat
+    work = []
+
+    def counted(k1, k2, t, *args, pairs=None, **kwargs):
+        work.append((np.size(k1) * np.size(k2) if pairs is None else pairs[0].size) * np.size(t))
+        return bhat(k1, k2, t, *args, pairs=pairs, **kwargs)
+
+    monkeypatch.setattr(kinetics, "_bhat", counted)
+    fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT)
+    assert sum(work) == _DEFAULT.k_grid**2 * n
+    work.clear()
+    fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT, keep=_DEFAULT.refine_top)
+    assert sum(work) < 0.4 * _DEFAULT.k_grid**2 * n
 
 
 @pytest.mark.parametrize(
@@ -524,6 +571,15 @@ def test_distinct_starts_lose_nothing_against_every_top_cell(bench_tx, bench_sen
     assert skipped > 0  # the rule is exercised
 
 
+def test_pruned_grid_leaves_every_estimate_unchanged(bench_tx, bench_sensor, monkeypatch):
+    traces = list(_criterion_07_traces(bench_tx, bench_sensor))
+    pruned = [repr(estimate_channel_params(trace, bench_tx, bench_sensor, s)) for s, trace in traces]
+    full_grid = fitting._grid_cells
+    monkeypatch.setattr(fitting, "_grid_cells", lambda *args, keep=None: full_grid(*args))
+    full = [repr(estimate_channel_params(trace, bench_tx, bench_sensor, s)) for s, trace in traces]
+    assert pruned == full
+
+
 def test_distinct_starts_skip_neighbours_and_mirrors():
     search = SearchConfig()
     k = np.geomspace(search.k_min, search.k_max, search.k_grid)
@@ -551,6 +607,32 @@ def test_fit_makes_a_quarter_of_the_residual_calls(bench_tx, bench_sensor):
         fit = estimate_channel_params(trace, bench_tx, bench_sensor, s).fit
         assert fit.residual_evals <= 150 // 4, (s, fit.residual_evals)
         assert 1 <= fit.jacobian_evals <= fit.residual_evals
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"k_grid": 100_000},
+        {"gamma_grid": 100_000_000},
+        {"k_grid": 2048, "gamma_grid": 5},  # one k_grid^2 row past 2**24 cells
+        {"k_max": math.inf},
+        {"gamma_max": math.inf},
+        {"mse_threshold": math.nan},
+        {"mse_threshold": math.inf},
+        {"mse_threshold": -0.1},
+        {"flat_floor_v": math.nan},
+        {"flat_floor_v": -1e-3},
+    ],
+)
+def test_search_config_refuses(kwargs):
+    with pytest.raises(ValidationError):
+        SearchConfig(**kwargs)
+
+
+def test_search_config_limits_are_inclusive():
+    assert SearchConfig(k_grid=200, gamma_grid=2).k_grid == 200
+    assert SearchConfig(k_grid=2048, gamma_grid=4).k_grid == 2048  # exactly 2**24 cells
+    assert SearchConfig(mse_threshold=0.0, flat_floor_v=0.0).flat_floor_v == 0.0
 
 
 def test_estimate_refuses_negative_times(bench_tx, bench_sensor):

@@ -174,3 +174,17 @@ def test_bhat_rate_derivative_across_its_two_forms():
         np.testing.assert_allclose(dk2[band], ref, rtol=1e-9)
         np.testing.assert_array_equal(dk1, b * (1.0 / k1 - t) - dk2)
         np.testing.assert_array_equal(b, bound_concentration(1.0, KineticsParams(k1, k2), t))
+
+
+def test_bhat_pairs_equal_the_full_table_bit_for_bit():
+    # near-confluent, diagonal and distinct pairs, in a scattered order
+    k = np.array([0.5, 1.0, 1.0 + 1e-7, 2.0, 50.0])
+    t = np.linspace(0.0, 30.0, 257)
+    full = kinetics._bhat(k, k, t, 1.3602e-3)
+    i = np.array([4, 0, 1, 2, 1, 3, 2, 0])
+    j = np.array([0, 4, 2, 1, 1, 3, 2, 3])
+    out, work = np.empty((2, i.size, t.size))
+    pairs = kinetics._bhat(k, k, t, 1.3602e-3, out=out, pairs=(i, j), work=work)
+    assert pairs is out
+    assert np.array_equal(pairs, full[i, j])
+    assert np.array_equal(kinetics._bhat(k, k, t, 1.3602e-3, pairs=(i, j)), full[i, j])

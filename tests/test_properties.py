@@ -75,3 +75,26 @@ def test_channel_jacobian_matches_finite_differences(k1, k2, confluence, gamma):
     assert np.all(jac[0] == 0.0)  # B = 0 at t = 0
     err = np.max(np.abs(jac - fd), axis=0)
     assert np.all(err <= 1e-6 * np.linalg.norm(fd, axis=0)), err / np.linalg.norm(fd, axis=0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k1=st.floats(math.log(0.1), math.log(20.0)).map(math.exp),
+    k2=st.floats(math.log(0.1), math.log(20.0)).map(math.exp),
+    gamma=st.floats(1.0, 10.0),
+    s=st.floats(0.8, 1.5),
+    sigma=st.sampled_from([0.0, 1e-3, 0.01, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+    refine_top=st.integers(1, 12),
+)
+def test_pruned_grid_is_a_prefix_of_the_full_grid(k1, k2, gamma, s, sigma, seed, refine_top):
+    # C0 <= 0.027 kg/m^3 for gamma <= 10 at s >= 0.8 m: the truth is defined
+    volts = response_voltages(
+        dataclasses.replace(TX, gamma=gamma), KineticsParams(k1, k2), SENSOR, s, TIMES
+    )
+    trace = Trace(TIMES, volts + np.random.default_rng(seed).normal(0.0, sigma, TIMES.size))
+    search = fitting.SearchConfig(refine_top=refine_top)
+    full = fitting._grid_cells(trace, TX, SENSOR, s, search)
+    pruned = fitting._grid_cells(trace, TX, SENSOR, s, search, keep=refine_top)
+    assert len(pruned) >= min(refine_top, len(full))
+    assert np.array_equal(pruned, full[: len(pruned)])
