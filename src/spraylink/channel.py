@@ -179,11 +179,14 @@ def _defined(b, ratio):
     return (b == 0.0) | ((ratio > 0.0) & (ratio < math.inf))
 
 
-def _volts(b, sensor: SensorSpec) -> np.ndarray:
-    """Volts at concentrations b by the sensor formulas, unchecked; NaN where not _defined."""
+def _volts(b, sensor: SensorSpec, ab=None) -> np.ndarray:
+    """Volts at concentrations b by the sensor formulas, unchecked; NaN where not _defined.
+
+    ab, if given, is sens.a * b**sens.b, already computed.
+    """
     sens = sensor.sens
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = sens.a * b**sens.b + sens.c
+        ratio = (sens.a * b**sens.b if ab is None else ab) + sens.c
         volts = sensor.ein * sensor.rl / (sensor.ro * (ratio + sensor.rl / sensor.ro))
     return np.where(_defined(b, ratio), volts, math.nan)
 

@@ -202,6 +202,22 @@ def _cmd_fit_sensitivity(cfg, args) -> int:
     return EXIT_OK
 
 
+def _json_number(data, key, default=None):
+    """data[key] (or default where it is missing), which must be a JSON number, as a float."""
+    value = data[key] if default is None else data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _json_bool(data, key, default):
+    """data[key] (or default where it is missing), which must be a JSON boolean."""
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {json.dumps(value)}")
+    return value
+
+
 def _cmd_trend(cfg, args) -> int:
     if not os.path.isdir(args.estimates_dir):
         raise ParseError("estimates directory not found", path=args.estimates_dir)
@@ -215,13 +231,13 @@ def _cmd_trend(cfg, args) -> int:
                 raise ParseError(f"bad JSON: {exc}", path=path) from exc
         try:
             est = fitting.ChannelEstimate(
-                k1=float(data["k1"]),
-                k2=float(data["k2"]),
-                gamma=float(data["gamma"]),
-                canonical=bool(data.get("canonical", True)),
-                mse=float(data.get("mse", math.nan)),
+                k1=_json_number(data, "k1"),
+                k2=_json_number(data, "k2"),
+                gamma=_json_number(data, "gamma"),
+                canonical=_json_bool(data, "canonical", True),
+                mse=_json_number(data, "mse", math.nan),
             )
-            s = float(data["s"])
+            s = _json_number(data, "s")
             if not (math.isfinite(s) and s > 0.0):
                 raise ValueError(f"distance s must be finite and > 0, got {s!r}")
             pairs.append((s, est))

@@ -16,28 +16,35 @@ finite-difference Jacobian. The two adapters are:
 
 Both stages factorise the model: B = C0(gamma) * Bhat(k1, k2, t) with
 Bhat the adhered concentration for C0 = 1, and C0 linear in gamma. One
-kernel, kinetics._bhat, gives Bhat (and its rate derivatives) for the grid,
-the LM residual and its Jacobian alike. The grid's sensitivity is
-f(B) = a C0^b Bhat^b + c. It makes one pass over the trace in time chunks:
-per chunk, one exp(-k t) row per rate node gives Bhat^b for every live rate
-pair at once, and each live (gamma, pair) cell adds its partial squared
-error through an affine map and the divider. Both stages mask where
-channel._defined fails: the grid at each rate pair's largest and smallest
-positive B, and LM through the NaN of channel._volts.
+kernel, kinetics._bhat, gives Bhat for the grid, the LM residual and its
+Jacobian alike, and kinetics._bhat_rate_grad the rate derivatives of that
+Bhat. The grid's sensitivity is
+f(B) = a C0^b Bhat^b + c. It makes one pass over the trace, summing
+squared errors in pieces of L = 2^15 / k_grid^2 samples. One kernel call
+spans as many consecutive pieces as its buffers hold for the rate pairs
+still live: one piece while every pair is live, more as pairs are
+dropped. Per call, one exp(-k t) row per rate node gives Bhat^b for every
+live rate pair at once, and each live (gamma, pair) cell sums its squared
+error through an affine map and the divider, piece by piece, and adds the
+piece sums to its running SSE in time order. So the sums are those of one
+call per piece, bit for bit. LM evaluates the model once per point: its
+Jacobian reuses the B of the residual at the same point. Both stages mask
+where channel._defined fails: the grid at each rate pair's largest and
+smallest positive B, and LM through the NaN of channel._volts.
 
 LM refines only the refine_top best grid cells, so the grid scores in full
 only the cells that can still finish among them. It abandons the others
 early, as in squared-distance search (Rakthanmanon et al., "Searching and
 mining trillions of time series subsequences under dynamic time warping",
 KDD 2012), with a bound that is exact. A strided pre-pass scores every cell
-on at most one chunk of samples; its 2 refine_top best cells, scored over
+on at most one piece of samples; its 2 refine_top best cells, scored over
 the whole trace, give an upper bound tau on the refine_top-th best sum of
-squared errors (SSE). A cell is
-dropped as soon as its pre-pass SSE or its running SSE exceeds tau. Squared
-errors are >= 0, so a sum over a subset of the samples is at most the sum
-over all of them, and a running sum never decreases from chunk to chunk:
-no cell that scores at most tau is dropped. The kept cells, and their
-scores bit for bit, are those of the full grid.
+squared errors (SSE). A cell is dropped once its pre-pass SSE, or its
+running SSE after a kernel call, exceeds tau. Squared errors are >= 0, so
+a sum over a subset of the samples is at most the sum over all of them,
+and a running sum never decreases from piece to piece: no cell that
+scores at most tau is dropped. The kept cells, and their scores bit for
+bit, are those of the full grid.
 
 The adhesion/detachment model is exactly degenerate under swapping k1 and
 k2 while rescaling gamma (B(t; C0 g, k1, k2) = B(t; C0 g k1/k2, k2, k1)),
@@ -75,9 +82,9 @@ FD_RELATIVE_STEP = 1e-6
 # Jacobian condition estimate above this is reported as rank-deficient.
 RANK_DEFICIENT_COND = 1e8
 
-# Bound on k_grid^2 * L, the float64 elements of one time chunk of the grid
-# stage (L samples, at least one, for every rate pair), so scratch memory
-# stays flat in trace length.
+# Bound on k_grid^2 * L, the float64 elements of one piece of the grid stage
+# (L samples, at least one, for every rate pair) and of the scratch of one of
+# its kernel calls, so scratch memory stays flat in trace length.
 _GRID_BLOCK_ELEMENTS = 2**15
 
 # Relative slack of the grid's pruning bound over the rounding of its sums.
@@ -471,12 +478,18 @@ def _grid_cells(
 ) -> np.ndarray:
     """Score the coarse (k1, k2, gamma) grid against a trace (see module doc).
 
-    One pass over the trace in chunks of L = _GRID_BLOCK_ELEMENTS // k_grid^2
-    samples. Per chunk, kinetics._bhat gives Bhat of every rate pair with a
-    live cell, which is raised to the power b once; each live (gamma, pair)
-    cell then adds its partial squared error. Running per-pair peaks and
-    smallest positive Bhat give the definedness ends. Scores differ from a
-    one-piece sum only by summation order.
+    One pass over the trace that sums squared errors in pieces of
+    L = _GRID_BLOCK_ELEMENTS // k_grid^2 samples. Each call of add_pieces
+    spans m = k_grid^2 // (live rate pairs) consecutive pieces (the last
+    call may end in a shorter piece), so that bhat_buf and block_buf hold
+    at most k_grid^2 L elements: one piece per call while every pair is
+    live, tens of pieces once few are. Per call, kinetics._bhat gives Bhat
+    of every rate pair with a live cell, which is raised to the power b
+    once; each live (gamma, pair) cell then sums its squared error over
+    each piece on its own and adds the piece sums to its running SSE in
+    time order, the same floating-point operations as one call per piece.
+    Running per-pair peaks and smallest positive Bhat give the definedness
+    ends. Scores differ from a one-piece sum only by summation order.
 
     Returns one row (mse, k1, k2, gamma) per feasible cell, sorted by MSE,
     ties broken by the smallest triple. Bhat = 0 gives Bhat^b = inf and so
@@ -488,16 +501,18 @@ def _grid_cells(
     every cell whose SSE is at most a bound tau, and so at least the keep
     best cells; the other cells are dropped as soon as they are known to
     score above tau. A strided pre-pass scores every cell on the samples
-    times[::ceil(n / L)], at most one chunk. The 2 keep best of it are
+    times[::ceil(n / L)], at most one piece. The 2 keep best of it are
     scored over the whole trace, and tau is the keep-th smallest SSE among
     the feasible ones, times 1 + _PRUNE_SLACK (inf with fewer than keep).
     The main pass then drops a cell once its subset SSE exceeds
-    tau (1 + _PRUNE_SLACK) or its running SSE exceeds tau. Both tests are
-    exact, because squared errors are >= 0: a subset sum is at most the
-    full sum (the two sums round differently, by far less than the slack),
-    and the running sum never decreases from chunk to chunk. So a cell
-    whose SSE is at most tau is never dropped, and a cell left live to the
-    end is kept only if its SSE is at most tau.
+    tau (1 + _PRUNE_SLACK) or, tested after every call, its running SSE
+    exceeds tau. Both tests are exact, because squared errors are >= 0: a
+    subset sum is at most the full sum (the two sums round differently, by
+    far less than the slack), and the running sum never decreases from
+    piece to piece. So a cell whose SSE is at most tau is never dropped,
+    and a cell left live to the end is kept only if its SSE is at most tau.
+    A cell may be dropped a few pieces after its SSE passed tau; that
+    costs work, not exactness.
     """
     sens = sensor.sens
     k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
@@ -509,30 +524,39 @@ def _grid_cells(
     times, meas_v = measured.times, measured.volts
     n, k = meas_v.size, k_nodes.size
     pairs = k * k
-    chunk = max(1, _GRID_BLOCK_ELEMENTS // pairs)
-    bhat_buf = np.empty(pairs * chunk)
-    block_buf = np.empty(pairs * chunk)
+    piece = max(1, _GRID_BLOCK_ELEMENTS // pairs)
+    bhat_buf = np.empty(pairs * piece)
+    block_buf = np.empty(pairs * piece)
     peak = np.zeros(pairs)
     low = np.full(pairs, np.inf)
     sse = np.zeros((g_nodes.size, pairs))
     alive = np.ones(sse.shape, dtype=bool)
 
-    def add_chunk(t, meas, cells, sums):
-        """Add the squared errors at times t of the (gamma, pair) cells set in cells to sums."""
+    def add_pieces(t, meas, cells, sums):
+        """Add the squared errors at times t of the (gamma, pair) cells set in cells to sums.
+
+        t is whole pieces and at most one shorter last piece, and the live
+        pairs times t.size fit bhat_buf. Each piece is summed on its own, and
+        the piece sums are added to sums in time order, as one call per
+        piece would add them.
+        """
         live = np.flatnonzero(cells.any(axis=0))
-        bhat = bhat_buf[: live.size * t.size].reshape(live.size, t.size)
+        size = t.size
+        bhat = bhat_buf[: live.size * size].reshape(live.size, size)
         if live.size == pairs:  # every pair: no gathers
-            kin_mod._bhat(k_nodes, k_nodes, t, out=bhat.reshape(k, k, t.size))
+            kin_mod._bhat(k_nodes, k_nodes, t, out=bhat.reshape(k, k, size))
         else:
-            work = block_buf[: live.size * t.size].reshape(live.size, t.size)
+            work = block_buf[: live.size * size].reshape(live.size, size)
             kin_mod._bhat(k_nodes, k_nodes, t, out=bhat, pairs=np.divmod(live, k), work=work)
         peak[live] = np.maximum(peak[live], bhat.max(axis=1))
         low[live] = np.minimum(low[live], np.min(bhat, axis=1, initial=np.inf, where=bhat > 0.0))
         np.power(bhat, sens.b, out=bhat)
+        whole = size // piece * piece  # samples in whole pieces
         g_of, row_of = np.nonzero(cells[:, live])
-        for a in range(0, g_of.size, pairs):  # pairs rows of <= L samples fill block_buf
-            g, rows = g_of[a : a + pairs], row_of[a : a + pairs]
-            part = block_buf[: rows.size * t.size].reshape(-1, t.size)
+        step = live.size * (bhat_buf.size // (live.size * size))  # rows that fill block_buf
+        for a in range(0, g_of.size, step):
+            g, rows = g_of[a : a + step], row_of[a : a + step]
+            part = block_buf[: rows.size * size].reshape(-1, size)
             if rows.size == live.size and g[0] == g[-1]:  # one gamma node, every live pair
                 np.multiply(slope[g[0]], bhat, out=part)
             else:
@@ -541,7 +565,14 @@ def _grid_cells(
             part += offset
             np.divide(gain, part, out=part)
             part -= meas
-            sums[g, live[rows]] += np.einsum("ij,ij->i", part, part)
+            run = np.empty((rows.size, 1 + -(-size // piece)))  # running SSE, piece by piece
+            run[:, 0] = sums[g, live[rows]]
+            head = part[:, :whole].reshape(rows.size, -1, piece)
+            np.einsum("ijk,ijk->ij", head, head, out=run[:, 1 : 1 + whole // piece])
+            if whole < size:
+                np.einsum("ij,ij->i", part[:, whole:], part[:, whole:], out=run[:, -1])
+            np.cumsum(run, axis=1, out=run)
+            sums[g, live[rows]] = run[:, -1]
 
     def sorted_full_sse(cells):
         """Sorted SSEs over the whole trace of the feasible ones among flat (gamma, pair) cells."""
@@ -563,16 +594,20 @@ def _grid_cells(
     tau = np.inf
     with np.errstate(divide="ignore", over="ignore"):
         if keep is not None:
-            stride = -(-n // chunk)
+            stride = -(-n // piece)
             sub = np.zeros_like(sse)
-            add_chunk(times[::stride], meas_v[::stride], alive, sub)
+            add_pieces(times[::stride], meas_v[::stride], alive, sub)
             best = sorted_full_sse(np.argsort(sub, axis=None, kind="stable")[: 2 * keep])
             if len(best) >= keep:
                 tau = best[keep - 1] * (1.0 + _PRUNE_SLACK)
             alive = ~(sub > tau * (1.0 + _PRUNE_SLACK))
-        for start in range(0, n, chunk):
-            add_chunk(times[start : start + chunk], meas_v[start : start + chunk], alive, sse)
+        start = 0
+        while start < n:
+            live = np.count_nonzero(alive.any(axis=0))  # >= 1: the keep best stay live
+            stop = start + piece * (pairs // live)  # as many pieces as bhat_buf holds
+            add_pieces(times[start:stop], meas_v[start:stop], alive, sse)
             alive &= ~(sse > tau)
+            start = stop
         # a pair with no positive Bhat has peak 0 and checks B = 0 at both ends
         ends = c0[:, None, None] * np.stack((peak, np.minimum(low, peak)), axis=-1)
         ratio = sens.a * ends**sens.b + sens.c
@@ -591,13 +626,17 @@ class _TraceFit:
     """Residual and Jacobian of the channel model on one trace, in p = (k1, k2, gamma).
 
     Set up once per fit: C0 is linear in gamma, so c0 is C0 at gamma = 1,
-    and the caller checks the time array once. Both evaluate
-    B = c0 gamma Bhat(k1, k2, t) with kinetics._bhat. The residual maps B
-    to volts by channel._volts (NaN where the model is undefined). The
-    Jacobian is dV/dtheta = -(V^2/G) a b B^(b-1) dB/dtheta, with
-    G = ein rl / ro and dB/dgamma = B / gamma, evaluated as
-    -b V w (dB/dtheta) / B with w = a B^b / (f(B) + rl/ro) so that no
-    factor overflows; it is 0 where B = 0.
+    and the caller checks the time array once. Both use
+    B = c0 gamma Bhat(k1, k2, t) from kinetics._bhat and a B^b, evaluated
+    once per point: LM asks for the Jacobian at the point of its last
+    residual, and that call reuses them. Any other point is evaluated
+    afresh, and only the last point is held. The residual maps B to volts
+    by channel._volts (NaN where the model is undefined). The Jacobian is
+    dV/dtheta = -(V^2/G) a b B^(b-1) dB/dtheta, with G = ein rl / ro,
+    dB/dk1 and dB/dk2 from kinetics._bhat_rate_grad and
+    dB/dgamma = B / gamma, evaluated as -b V w (dB/dtheta) / B with
+    w = a B^b / (f(B) + rl/ro) so that no factor overflows; it is 0 where
+    B = 0.
     """
 
     def __init__(self, measured: Trace, tx: TransmitterSpec, sensor: SensorSpec, s: float):
@@ -605,21 +644,35 @@ class _TraceFit:
         self.volts = measured.volts
         self.sensor = sensor
         self.c0 = channel_mod.initial_concentration(dataclasses.replace(tx, gamma=1.0), s)
+        self._last = None  # (p, B, a B^b) of the last point evaluated
+
+    def _model(self, p):
+        """B and a B^b at p."""
+        if self._last is None or not np.array_equal(self._last[0], p):
+            b = kin_mod._bhat(p[:1], p[1:2], self.times, self.c0 * p[2])[0, 0]
+            sens = self.sensor.sens
+            with np.errstate(divide="ignore", over="ignore"):
+                self._last = (np.array(p, dtype=float), b, sens.a * b**sens.b)
+        return self._last[1:]
 
     def residual(self, p):
-        b = kin_mod._bhat(p[:1], p[1:2], self.times, self.c0 * p[2])[0, 0]
-        return channel_mod._volts(b, self.sensor) - self.volts
+        b, ab = self._model(p)
+        return channel_mod._volts(b, self.sensor, ab) - self.volts
 
     def jacobian(self, p):
-        b, dk1, dk2 = (x[0, 0] for x in kin_mod._bhat(
-            p[:1], p[1:2], self.times, self.c0 * p[2], grad=True))
+        b, ab = self._model(p)
         sensor, sens = self.sensor, self.sensor.sens
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ab = sens.a * b**sens.b
             denom = ab + (sens.c + sensor.rl / sensor.ro)
             volts = sensor.ein * sensor.rl / sensor.ro / denom
             dv_db = np.where(b > 0.0, -sens.b * volts * (ab / denom) / b, 0.0)
-        return np.column_stack((dv_db * dk1, dv_db * dk2, dv_db * b / p[2]))
+        dk1, dk2 = kin_mod._bhat_rate_grad(p[0], p[1], self.times, self.c0 * p[2], b)
+        jac = np.empty((b.size, 3))
+        np.multiply(dv_db, dk1, out=jac[:, 0])
+        np.multiply(dv_db, dk2, out=jac[:, 1])
+        np.multiply(dv_db, b, out=jac[:, 2])
+        jac[:, 2] /= p[2]
+        return jac
 
     def problem(self, x0, search: SearchConfig) -> FitProblem:
         """The bounded LM problem started at x0 = (k1, k2, gamma)."""

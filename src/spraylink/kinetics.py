@@ -68,7 +68,7 @@ def free_concentration(c0: float, kin: KineticsParams, t):
     return _match(c0 * np.exp(-kin.k1 * tt), t)
 
 
-def _bhat(k1, k2, t, c0=1.0, grad=False, out=None, pairs=None, work=None):
+def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None):
     """B(t) of every rate pair (k1[i], k2[j]), unchecked; shape (k1.size, k2.size, t.size).
 
     k1 and k2 are 1-D arrays of rates, t a 1-D array of times; c0 scales
@@ -79,18 +79,23 @@ def _bhat(k1, k2, t, c0=1.0, grad=False, out=None, pairs=None, work=None):
     expm1 form within CONFLUENT_REL_TOL, then a clip at 0. out, if given,
     receives B. pairs, if given, is a pair of index arrays (i, j): only the
     rate pairs (k1[i], k2[j]) are evaluated, by the same operations, as
-    rows of shape (i.size, t.size); it does not combine with grad. work, if
-    given with pairs, is an array of that shape that receives the gathered
-    exp(-k2[j] t) rows, so that no temporary of B's size is allocated.
-
-    With grad, returns (B, dB/dk1, dB/dk2). dB/dk2 is
-    (c0 k1 t e^{-k2 t} - B) / (k2 - k1), whose cancellation costs about
-    2 eps / (delta t)^2 relative, delta = k1 - k2. Where |delta t| < 1e-2
-    it is -c0 k1 t^2 e^{-k1 t} phi'(delta t) instead, phi(x) = expm1(x) / x,
-    with five terms of the series of phi' (exact to 3e-13 there). dB/dk1
-    follows from dB/dk1 + dB/dk2 = B (1/k1 - t).
+    rows of shape (i.size, t.size), and exp(-k t) only for the rates that
+    they use, so that its scratch grows with i.size, not with the number
+    of rates. work, if given with pairs, is an array of that shape that
+    receives the gathered exp(-k2[j] t) rows, so that no temporary of B's
+    size is allocated. _bhat_rate_grad gives the rate derivatives of one
+    pair.
     """
     same = k2 is k1
+    if pairs is not None:  # only the rate nodes that the pairs use
+        k1 = np.asarray(k1, dtype=float)
+        k2 = k1 if same else np.asarray(k2, dtype=float)
+        used1 = np.zeros(k1.size, dtype=bool)
+        used2 = used1 if same else np.zeros(k2.size, dtype=bool)
+        used1[pairs[0]] = used2[pairs[1]] = True
+        pairs = np.cumsum(used1)[pairs[0]] - 1, np.cumsum(used2)[pairs[1]] - 1
+        k1 = k1[used1]
+        k2 = k1 if same else k2[used2]
     k1 = np.asarray(k1, dtype=float)[:, None]
     k2 = k1.T if same else np.asarray(k2, dtype=float)[None, :]
     e1 = np.exp(-k1 * t)
@@ -116,14 +121,30 @@ def _bhat(k1, k2, t, c0=1.0, grad=False, out=None, pairs=None, work=None):
         with np.errstate(invalid="ignore"):  # 0/0 on the diagonal, not selected
             b[at] = np.where(d == 0.0, (a * t) * e, a * e * np.expm1(d * t) / d)
     np.maximum(b, 0.0, out=b)
-    if not grad:
-        return b
-    x = delta[..., None] * t
-    with np.errstate(divide="ignore", invalid="ignore"):  # /0 where confluent, not selected
-        two_exp = (k1c0[..., None] * t * e2 - b) / -delta[..., None]
+    return b
+
+
+def _bhat_rate_grad(k1, k2, t, c0, b):
+    """(dB/dk1, dB/dk2) of the rate pair (k1, k2) at ascending times t, unchecked.
+
+    b is that pair's B, _bhat([k1], [k2], t, c0)[0, 0]. dB/dk2 is
+    (c0 k1 t e^{-k2 t} - B) / (k2 - k1), whose cancellation costs about
+    2 eps / (delta t)^2 relative, delta = k1 - k2. Where |delta t| < 1e-2
+    it is -c0 k1 t^2 e^{-k1 t} phi'(delta t) instead, phi(x) = expm1(x) / x,
+    with five terms of the series of phi' (exact to 3e-13 there). Times
+    ascend, so that is a prefix of them, and each form is evaluated only on
+    its own samples. dB/dk1 follows from dB/dk1 + dB/dk2 = B (1/k1 - t).
+    """
+    delta = k1 - k2
+    k1c0 = k1 * c0
+    cut = int(np.searchsorted(abs(delta) * t, 1e-2))  # |delta t| grows with t
+    head, tail = t[:cut], t[cut:]
+    x = delta * head
     dphi = 0.5 + x * (1.0 / 3.0 + x * (1.0 / 8.0 + x * (1.0 / 30.0 + x / 144.0)))
-    dk2 = np.where(np.abs(x) < 1e-2, -k1c0[..., None] * t * t * e1[:, None, :] * dphi, two_exp)
-    return b, b * (1.0 / k1[..., None] - t) - dk2, dk2
+    dk2 = np.empty_like(b)
+    dk2[:cut] = -k1c0 * head * head * np.exp(-k1 * head) * dphi
+    dk2[cut:] = (k1c0 * tail * np.exp(-k2 * tail) - b[cut:]) / -delta
+    return b * (1.0 / k1 - t) - dk2, dk2
 
 
 def bound_concentration(c0: float, kin: KineticsParams, t):

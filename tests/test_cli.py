@@ -209,6 +209,30 @@ def test_trend_rejects_bad_distance(tmp_path, capsys, bad_s):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("s", "true"), ("k1", "true"), ("k2", "true"), ("gamma", "true"), ("mse", "false"),
+     ("s", '"1.1"'), ("k1", '"2.0"'), ("mse", "null"),
+     ("canonical", '"false"'), ("canonical", "0"), ("canonical", "null")],
+)
+def test_trend_refuses_wrong_json_types(tmp_path, capsys, key, value):
+    est_dir = tmp_path / "estimates"
+    est_dir.mkdir()
+    for name, s in (("a.json", 1.0), ("b.json", 1.1), ("c.json", 1.2)):
+        payload = {"s": s, "k1": 2.0, "k2": 0.5, "gamma": 3.0, "mse": 1e-6, "canonical": True}
+        text = json.dumps(payload)
+        if name == "b.json":
+            text = text.replace(f'"{key}": {json.dumps(payload[key])}', f'"{key}": {value}')
+            assert f'"{key}": {value}' in text
+        (est_dir / name).write_text(text)
+    out_csv = tmp_path / "trend.csv"
+    assert run(["trend", est_dir, "--out", out_csv]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "b.json" in err and f"{key} must be" in err
+    assert not out_csv.exists()
+
+
 def test_trend_missing_directory_is_io_error(tmp_path, capsys):
     missing = tmp_path / "nope"
     assert run(["trend", missing, "--out", tmp_path / "t.csv"]) == EXIT_IO
@@ -306,6 +330,13 @@ HOSTILE_INPUTS = {
         ["flow-rate", "m.csv"], EXIT_IO),
     "estimate_not_utf8": (
         {"est/e.json": b'{"s": 1.0, "k1": "\xff"}'}, ["trend", "est", "--out", "out.csv"], EXIT_IO),
+    "estimate_boolean_distance": (
+        {"est/e.json": b'{"s": true, "k1": 2.0, "k2": 0.5, "gamma": 3.0, "mse": 1e-6}'},
+        ["trend", "est", "--out", "out.csv"], EXIT_IO),
+    "estimate_canonical_string": (
+        {"est/e.json": b'{"s": 1.0, "k1": 2.0, "k2": 0.5, "gamma": 3.0, "mse": 1e-6, '
+                       b'"canonical": "false"}'},
+        ["trend", "est", "--out", "out.csv"], EXIT_IO),
     "config_missing": ({}, ["--config", "nope.ini", "fit-sensitivity"], EXIT_IO),
     "estimate_three_samples": (
         {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n"},

@@ -359,6 +359,7 @@ _DEFAULT = SearchConfig()
 # every off-diagonal rate pair lies within CONFLUENT_REL_TOL: the expm1 branch
 _EXPM1_BOX = SearchConfig(k_min=1.0, k_max=1.0 + 5e-7)
 _SMALL_GRID = SearchConfig(k_grid=5, gamma_grid=3)
+_TOP1 = SearchConfig(refine_top=1)
 # samples per time chunk of the default grid
 _CHUNK = fitting._GRID_BLOCK_ELEMENTS // _DEFAULT.k_grid**2
 
@@ -386,6 +387,10 @@ _GRID_CASES = [
         2.0, 0.5, 3.0, 1.0, 10.0, _CHUNK + 1, None, _DEFAULT, id="one_sample_past_a_chunk"
     ),
     pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 2001, None, _SMALL_GRID, id="small_grid"),
+    # few live pairs: main-pass calls span many pieces, the last one short
+    pytest.param(
+        2.0, 0.5, 3.0, 1.0, 10.0, 20 * _CHUNK + 77, None, _TOP1, id="top1_short_last_piece"
+    ),
 ]
 
 
@@ -410,6 +415,8 @@ def test_grid_cells_match_per_cell_model(
         assert search.k_max - search.k_min < kinetics.CONFLUENT_REL_TOL * search.k_min
     if search is _SMALL_GRID:
         assert fitting._GRID_BLOCK_ELEMENTS // search.k_grid**2 < n  # two chunks
+    if search is _TOP1:
+        assert n % _CHUNK != 0
 
 
 def _assert_pruned_prefix(pruned, full, keep):
@@ -456,6 +463,28 @@ def test_pruned_grid_evaluates_under_two_fifths_of_bhat(bench_tx, bench_sensor, 
     work.clear()
     fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT, keep=_DEFAULT.refine_top)
     assert sum(work) < 0.4 * _DEFAULT.k_grid**2 * n
+
+
+def test_pruned_grid_scores_whole_pieces_per_kernel_call(bench_tx, bench_sensor, monkeypatch):
+    # one kernel call per piece of _CHUNK samples made 158 calls of the
+    # rate-node table here; a call now spans as many pieces as the live rate
+    # pairs fill. The full-trace scores of the pre-pass candidates are apart.
+    n = 20001
+    trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, np.arange(n) * 0.0005)
+    bhat = kinetics._bhat
+    sizes = []  # samples per call of the table, the pre-pass first
+
+    def counted(k1, k2, t, *args, **kwargs):
+        if np.size(k1) == _DEFAULT.k_grid:
+            sizes.append(np.size(t))
+        return bhat(k1, k2, t, *args, **kwargs)
+
+    monkeypatch.setattr(kinetics, "_bhat", counted)
+    fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT, keep=_DEFAULT.refine_top)
+    assert len(sizes) <= 40
+    assert sizes[0] <= _CHUNK and sum(sizes[1:]) == n
+    assert all(size % _CHUNK == 0 for size in sizes[1:-1])  # whole pieces,
+    assert sizes[-1] > _CHUNK and sizes[-1] % _CHUNK == n % _CHUNK  # then a short one
 
 
 @pytest.mark.parametrize(
@@ -528,6 +557,20 @@ def test_grid_does_not_evaluate_per_pair(bench_tx, bench_sensor, monkeypatch):
 
     monkeypatch.setattr(kinetics, "bound_concentration", refuse)
     _assert_same_cells(fitting._grid_cells(trace, bench_tx, bench_sensor, 0.5, _DEFAULT), ref)
+
+
+def test_pruned_grid_scratch_stays_flat_as_calls_span_more_pieces(bench_tx, bench_sensor):
+    # with few live pairs one call spans many pieces; exp(-k t) rows for
+    # every rate node over all of them took about 4.5 MB here
+    search = SearchConfig(k_grid=64, gamma_grid=4)
+    trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, np.arange(20001) * 0.0005)
+    tracemalloc.start()
+    try:
+        fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, search, keep=search.refine_top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
 
 
 def test_grid_scoring_memory_is_bounded(bench_tx, bench_sensor):

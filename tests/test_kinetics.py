@@ -165,7 +165,8 @@ def test_bhat_rate_derivative_across_its_two_forms():
     # from the series of phi' to the two-exponential form.
     t = np.linspace(0.0, 20.0, 2001)
     for k1, k2 in ((2.0, 1.995), (2.0, 2.005), (0.5, 0.45)):
-        b, dk1, dk2 = (out[0, 0] for out in kinetics._bhat([k1], [k2], t, grad=True))
+        b = kinetics._bhat([k1], [k2], t)[0, 0]
+        dk1, dk2 = kinetics._bhat_rate_grad(k1, k2, t, 1.0, b)
         x = (k1 - k2) * t
         band = (np.abs(x) >= 1e-5) & (np.abs(x) <= 1.0)
         assert (np.abs(x[band]) < 1e-2).any() and (np.abs(x[band]) > 1e-2).any()
@@ -188,3 +189,6 @@ def test_bhat_pairs_equal_the_full_table_bit_for_bit():
     assert pairs is out
     assert np.array_equal(pairs, full[i, j])
     assert np.array_equal(kinetics._bhat(k, k, t, 1.3602e-3, pairs=(i, j)), full[i, j])
+    other = k[::-1] * 1.5  # distinct k1 and k2 nodes
+    full = kinetics._bhat(k, other, t, 1.3602e-3)
+    assert np.array_equal(kinetics._bhat(k, other, t, 1.3602e-3, pairs=(i, j)), full[i, j])

@@ -8,11 +8,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spraylink import fitting, kinetics
+from spraylink import fitting, kinetics, sensor
 from spraylink.channel import TransmitterSpec, response_voltages
 from spraylink.kinetics import KineticsParams
 from spraylink.sensor import MQ3_SENSITIVITY, SensorSpec
-from spraylink.traceio import Trace
+from spraylink.traceio import Trace, preprocess
 
 TX = TransmitterSpec(q=2.204e-6, te=0.5, rho_d=789.0, theta=math.radians(38.0))
 SENSOR = SensorSpec(ein=5.0, rl=1000.0, ro=24000.0, sens=MQ3_SENSITIVITY)
@@ -77,6 +77,40 @@ def test_channel_jacobian_matches_finite_differences(k1, k2, confluence, gamma):
     assert np.all(err <= 1e-6 * np.linalg.norm(fd, axis=0)), err / np.linalg.norm(fd, axis=0)
 
 
+_POINT = st.builds(
+    lambda k1, k2, confluence, gamma: np.array(
+        [k1, k2 if confluence is None else min(max(k1 * (1.0 + confluence), 0.05), 50.0), gamma]
+    ),
+    _RATE,
+    _RATE,
+    st.one_of(st.none(), st.just(0.0), st.floats(-1e-5, 1e-5)),
+    st.one_of(st.sampled_from([1.0, 25.0]), st.floats(1.0, 25.0)),
+)
+_MEASURED = Trace(TIMES, 0.3 * np.sin(TIMES))
+
+
+@settings(deadline=None)
+@given(p=_POINT, q=_POINT)
+def test_channel_model_is_evaluated_afresh_at_a_new_point(p, q):
+    # LM asks for the Jacobian at the point of its last residual, and
+    # _TraceFit reuses that evaluation; at any other point it must not
+    def fresh():
+        return fitting._TraceFit(_MEASURED, TX, SENSOR, 1.0)
+
+    r, jac = fresh().residual(p), fresh().jacobian(p)
+    trace_fit = fresh()
+    assert np.array_equal(trace_fit.residual(p), r, equal_nan=True)
+    assert np.array_equal(trace_fit.jacobian(p), jac)
+    trace_fit.residual(q)
+    assert np.array_equal(trace_fit.jacobian(p), jac)
+    assert np.array_equal(trace_fit.residual(p), r, equal_nan=True)
+    moved = p.copy()
+    trace_fit = fresh()
+    trace_fit.residual(moved)
+    moved[:] = q  # the same array, changed in place, is a new point
+    assert np.array_equal(trace_fit.jacobian(moved), fresh().jacobian(q))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     k1=st.floats(math.log(0.1), math.log(20.0)).map(math.exp),
@@ -98,3 +132,54 @@ def test_pruned_grid_is_a_prefix_of_the_full_grid(k1, k2, gamma, s, sigma, seed,
     pruned = fitting._grid_cells(trace, TX, SENSOR, s, search, keep=refine_top)
     assert len(pruned) >= min(refine_top, len(full))
     assert np.array_equal(pruned, full[: len(pruned)])
+
+
+_SCOPE_B = st.floats(*np.log(sensor.DETECTION_SCOPE)).map(math.exp)  # kg/m^3
+
+
+@given(eout=st.floats(1e-6, 1.0 - 1e-9).map(lambda share: share * SENSOR.ein))
+def test_voltage_resistance_round_trip(eout):
+    rs = sensor.resistance_from_voltage(eout, SENSOR)
+    assert rs > 0.0
+    assert math.isclose(sensor.voltage_from_resistance(rs, SENSOR), eout, rel_tol=1e-12)
+
+
+@given(rs=st.floats(math.log(1e-3), math.log(1e6)).map(lambda x: SENSOR.rl * math.exp(x)))
+def test_resistance_voltage_round_trip(rs):
+    # (Ein / Eout - 1) cancels to about eps RL / R_S relative
+    eout = sensor.voltage_from_resistance(rs, SENSOR)
+    assert 0.0 < eout < SENSOR.ein
+    back = sensor.resistance_from_voltage(eout, SENSOR)
+    assert math.isclose(back, rs, rel_tol=1e-12 * (1.0 + SENSOR.rl / rs))
+
+
+@given(b=_SCOPE_B)
+def test_concentration_voltage_round_trip(b):
+    eout = sensor.voltage_from_sensitivity(sensor.sensitivity(b, MQ3_SENSITIVITY), SENSOR)
+    assert 0.0 < eout < SENSOR.ein
+    assert math.isclose(sensor.concentration_from_voltage(eout, SENSOR), b, rel_tol=1e-9)
+
+
+@given(b=_SCOPE_B)
+def test_voltage_concentration_round_trip(b):
+    eout = sensor.voltage_from_sensitivity(sensor.sensitivity(b, MQ3_SENSITIVITY), SENSOR)
+    back = sensor.concentration_from_voltage(eout, SENSOR)
+    again = sensor.voltage_from_sensitivity(sensor.sensitivity(back, MQ3_SENSITIVITY), SENSOR)
+    assert math.isclose(again, eout, rel_tol=1e-12)
+
+
+@given(
+    steps=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=40),
+    volts=st.lists(st.floats(-1.0, 5.0), min_size=41, max_size=41),
+    start=st.floats(0.0, 100.0),
+    at=st.floats(0.0, 1.0),
+)
+def test_preprocess_is_idempotent_on_a_prepared_trace(steps, volts, start, at):
+    times = start + np.concatenate(([0.0], np.cumsum(steps)))
+    raw = Trace(times, np.array(volts[: times.size]))
+    once = preprocess(raw, t0=min(float(times[0] + at * (times[-1] - times[0])), times[-1]))
+    twice = preprocess(once, t0=0.0)
+    assert np.array_equal(twice.times, once.times)
+    assert np.array_equal(twice.volts, once.volts)
+    moved = {"t0": None, "offset_v": None}  # the only metadata that may change
+    assert {**twice.meta, **moved} == {**once.meta, **moved}
