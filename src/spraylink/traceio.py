@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import os
 import stat
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,14 +87,13 @@ def atomic_write_text(path, text: str) -> None:
 
 def store_trace(trace: Trace, path) -> None:
     """Write a trace as CSV; 17 significant digits preserve float64 exactly."""
-    lines = [TRACE_HEADER]
-    # Python floats format faster than numpy scalars, to the same text
-    rows = zip(trace.times.tolist(), trace.volts.tolist())
-    lines.extend(f"{t:.17g},{v:.17g}" for t, v in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    # One % over Python floats: the same text as an f-string per row, faster
+    values = np.column_stack((trace.times, trace.volts)).ravel().tolist()
+    rows = ("%.17g,%.17g\n" * len(trace)) % tuple(values)
+    atomic_write_text(path, f"{TRACE_HEADER}\n{rows}")
 
 
-# Rows per bulk str -> float cast in read_columns; bounds the list of
+# Rows per bulk str -> float cast in _parse_lines; bounds the list of
 # pending field strings while keeping the per-row Python work small.
 _CHUNK_ROWS = 4096
 
@@ -118,6 +118,85 @@ def _to_floats(fields, rows, width, path) -> np.ndarray:
         return np.array(values)
 
 
+def _skip_header(lines, header: str, path) -> None:
+    """Consume numbered lines up to and including the header, and check it."""
+    names = header.split(",")
+    for line_no, line in lines:
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if [c.strip() for c in text.split(",")] != names:
+            raise ParseError(
+                f"expected header '{header}', got {text!r}", path=path, line=line_no
+            )
+        return
+    raise ParseError("missing header", path=path)
+
+
+def _parse_lines(lines, width: int, path) -> np.ndarray:
+    """Parse the numbered data lines after the header into an (n, width) array.
+
+    This loop defines the rules of read_columns and is the only source of
+    line-numbered errors.
+    """
+    chunks, fields, rows = [], [], []
+    for line_no, line in lines:
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split(",")
+        if len(parts) != width:
+            # A bad number on an earlier line is reported first.
+            _to_floats(fields, rows, width, path)
+            raise ParseError(
+                f"expected {width} columns, got {len(parts)}", path=path, line=line_no
+            )
+        fields.extend(parts)
+        rows.append(line_no)
+        if len(rows) == _CHUNK_ROWS:
+            chunks.append(_to_floats(fields, rows, width, path))
+            fields.clear()
+            rows.clear()
+    chunks.append(_to_floats(fields, rows, width, path))
+    return np.concatenate(chunks).reshape(-1, width)
+
+
+# numpy's reader strips U+001C-U+001F around a number, as str.isspace()
+# does; float() does not, so a file holding these bytes goes to the loop.
+_SEPARATOR_BYTES = b"\x1c\x1d\x1e\x1f"
+
+
+def _holds_separator_bytes(raw) -> bool:
+    """Whether a seekable binary stream holds a byte 0x1c-0x1f; rewinds it."""
+    try:
+        for block in iter(lambda: raw.read(1 << 16), b""):
+            if any(byte in block for byte in _SEPARATOR_BYTES):
+                return True
+        return False
+    finally:
+        raw.seek(0)
+
+
+def _parse_bulk(fh, width: int):
+    """Parse the data lines after the header with numpy's C reader, or return None.
+
+    None means the reader refused the text, and _parse_lines decides it.
+    For text without the bytes 0x1c-0x1f, whatever the reader accepts with
+    `width` columns, _parse_lines accepts with the same values: both convert
+    each field with the routine behind float(), and both skip empty lines.
+    Whitespace-only and '#' lines, inline comments, and tokens such as '1_0'
+    that float() takes and the reader does not, make the reader refuse; so
+    does a file without data rows.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on input without rows
+            data = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    return data if data.shape[1] == width else None
+
+
 def read_columns(path, header: str) -> tuple[np.ndarray, ...]:
     """Read a CSV of numbers under an exact header; one float64 array per column.
 
@@ -128,47 +207,29 @@ def read_columns(path, header: str) -> tuple[np.ndarray, ...]:
     byte-order mark, as spreadsheet exports write, is skipped. Any
     violation, and text that is not UTF-8, raises ParseError with the path
     and, where it applies, the 1-based line number.
+
+    The rows are parsed in bulk by numpy's C reader. A file that reader
+    refuses, or that holds one of the bytes 0x1c-0x1f, is read again from
+    the start, line by line, under the same rules; the result, or the
+    error, does not depend on which of the two parsed it. A stream that
+    cannot seek, such as a pipe, is read line by line at once.
     """
-    names = header.split(",")
-    width = len(names)
-    chunks, fields, rows = [], [], []
-    header_seen = False
+    width = len(header.split(","))
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                parts = text.split(",")
-                if not header_seen:
-                    if [c.strip() for c in parts] != names:
-                        raise ParseError(
-                            f"expected header '{header}', got {text!r}",
-                            path=path,
-                            line=line_no,
-                        )
-                    header_seen = True
-                    continue
-                if len(parts) != width:
-                    # A bad number on an earlier line is reported first.
-                    _to_floats(fields, rows, width, path)
-                    raise ParseError(
-                        f"expected {width} columns, got {len(parts)}",
-                        path=path,
-                        line=line_no,
-                    )
-                fields.extend(parts)
-                rows.append(line_no)
-                if len(rows) == _CHUNK_ROWS:
-                    chunks.append(_to_floats(fields, rows, width, path))
-                    fields.clear()
-                    rows.clear()
+            data = None
+            # the scan reads fh's bytes before fh decodes any, then rewinds
+            if fh.seekable() and not _holds_separator_bytes(fh.buffer):
+                _skip_header(enumerate(fh, start=1), header, path)
+                data = _parse_bulk(fh, width)
+                fh.seek(0)  # for the loop, if the bulk reader refused
+            if data is None:
+                lines = enumerate(fh, start=1)
+                _skip_header(lines, header, path)
+                data = _parse_lines(lines, width, path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from exc
-    if not header_seen:
-        raise ParseError("missing header", path=path)
-    chunks.append(_to_floats(fields, rows, width, path))
-    return tuple(np.concatenate(chunks).reshape(-1, width).T.copy())
+    return tuple(data.T.copy())
 
 
 def load_trace(path) -> Trace:

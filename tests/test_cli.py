@@ -1,10 +1,17 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_traceio import csv_texts
 
 from spraylink import fitting
 from spraylink.cli import (
@@ -15,7 +22,7 @@ from spraylink.cli import (
     EXIT_VALIDATION,
     main,
 )
-from spraylink.traceio import Trace, load_trace, store_trace
+from spraylink.traceio import TRACE_HEADER, Trace, load_trace, store_trace
 
 
 def run(args):
@@ -428,3 +435,58 @@ def test_hostile_inputs_exit_without_traceback(tmp_path, capsys, monkeypatch, na
     assert err.startswith("error: ")
     assert "np.float64" not in err  # numbers print as plain floats
     assert not (tmp_path / "out.csv").exists()
+
+
+@st.composite
+def _capture_texts(draw):
+    """A plausible capture of at most 200 rows: offset, pulse after an onset, noise."""
+    n = draw(st.integers(4, 200))
+    dt = draw(st.sampled_from([0.001, 0.01, 0.1]))
+    k1, k2 = draw(st.floats(0.1, 20.0)), draw(st.floats(0.1, 20.0))
+    amp, offset = draw(st.floats(0.0, 3.0)), draw(st.floats(-1.0, 1.0))
+    onset = draw(st.floats(0.0, 1.0)) * n * dt
+    noise = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    times = draw(st.sampled_from([0.0, 0.0, 2.5])) + np.arange(n) * dt
+    after = np.clip(times - times[:1] - onset, 0.0, None)
+    volts = offset + amp * (np.exp(-k2 * after) - np.exp(-k1 * after))
+    volts += np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, noise, n)
+    fmt = draw(st.sampled_from(["%.17g,%.17g", "%.3f,%.6f"]))
+    return TRACE_HEADER + "\n" + "".join(fmt % row + "\n" for row in zip(times, volts))
+
+
+@st.composite
+def _trace_file_bytes(draw):
+    if draw(st.booleans()):
+        text = draw(_capture_texts())
+    else:
+        text, _ = draw(csv_texts(header=TRACE_HEADER, max_rows=20))
+    data = text.encode()
+    if draw(st.sampled_from([False] * 4 + [True])):  # invalid UTF-8 somewhere
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    data=_trace_file_bytes(),
+    s=st.one_of(st.floats(0.3, 3.0).map(repr), st.sampled_from(["nan", "-1", "0", "inf", "1e-200"])),
+    t0=st.one_of(
+        st.sampled_from(["0", "auto"]),
+        st.floats(0.0, 1.0).map(repr),
+        st.sampled_from(["nan", "-1", "1e9", "soon"]),
+    ),
+)
+def test_estimate_exits_with_a_documented_code(data, s, t0):
+    # in process: an escaping exception fails the test with its traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["estimate", path, "--s", s, "--t0", t0])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NO_SIGNAL, EXIT_LOW_CONFIDENCE, EXIT_IO)
+    assert "Traceback" not in err.getvalue()
+    if code not in (EXIT_OK, EXIT_LOW_CONFIDENCE):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

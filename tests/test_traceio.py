@@ -2,9 +2,13 @@
 
 import os
 import stat
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spraylink.calibration import load_mass_measurements
 from spraylink.errors import NoSignalError, ParseError, ValidationError
@@ -147,6 +151,219 @@ def test_read_columns_across_cast_chunks(tmp_path):
     with pytest.raises(ParseError) as err:
         read_columns(path, "a,b")
     assert err.value.line == 9002
+
+
+# A frozen copy of read_columns as it was when every row went through the
+# line loop: the oracle the bulk reader is checked against.
+def _oracle_to_floats(fields, rows, width, path):
+    try:
+        return np.array(fields, dtype=float)
+    except ValueError:
+        values = []
+        for i, field_text in enumerate(fields):
+            try:
+                values.append(float(field_text))
+            except ValueError as exc:
+                raise ParseError(
+                    f"bad number: {exc}", path=path, line=rows[i // width]
+                ) from exc
+        return np.array(values)
+
+
+def oracle_read_columns(path, header):
+    names = header.split(",")
+    width = len(names)
+    chunks, fields, rows = [], [], []
+    header_seen = False
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                parts = text.split(",")
+                if not header_seen:
+                    if [c.strip() for c in parts] != names:
+                        raise ParseError(
+                            f"expected header '{header}', got {text!r}",
+                            path=path,
+                            line=line_no,
+                        )
+                    header_seen = True
+                    continue
+                if len(parts) != width:
+                    _oracle_to_floats(fields, rows, width, path)
+                    raise ParseError(
+                        f"expected {width} columns, got {len(parts)}",
+                        path=path,
+                        line=line_no,
+                    )
+                fields.extend(parts)
+                rows.append(line_no)
+                if len(rows) == 4096:
+                    chunks.append(_oracle_to_floats(fields, rows, width, path))
+                    fields.clear()
+                    rows.clear()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from exc
+    if not header_seen:
+        raise ParseError("missing header", path=path)
+    chunks.append(_oracle_to_floats(fields, rows, width, path))
+    return tuple(np.concatenate(chunks).reshape(-1, width).T.copy())
+
+
+def _outcome(read, path, header):
+    try:
+        return read(path, header)
+    except ParseError as exc:
+        return exc
+
+
+def assert_same_as_oracle(path, header):
+    """read_columns gives the oracle's arrays bit for bit, or its ParseError."""
+    got, want = _outcome(read_columns, path, header), _outcome(oracle_read_columns, path, header)
+    if isinstance(want, ParseError):
+        assert type(got) is ParseError, got
+        assert (str(got), got.line, got.path) == (str(want), want.line, want.path)
+        return
+    assert not isinstance(got, ParseError), got
+    assert len(got) == len(want)
+    for column, expected in zip(got, want):
+        assert column.dtype == np.float64 and column.flags.c_contiguous
+        assert column.shape == expected.shape
+        # bits, not values: -0.0 and NaN payloads count
+        assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
+
+
+_NUMBER_TEXT = st.one_of(
+    st.builds(
+        lambda x, fmt: fmt(x),
+        st.floats(),
+        st.sampled_from([repr, "%.17g".__mod__, "%.3f".__mod__, "%e".__mod__]),
+    ),
+    st.sampled_from([
+        "1e400", "4.9e-324", "-0", "+nan", "-nan", "INF", "infinity", ".5", "5.", "1",
+    ]),
+)
+# tokens the contract refuses, or float() takes and numpy's C reader does not,
+# and numbers next to a control character or a Unicode space
+_ODD_TOKENS = st.one_of(
+    st.sampled_from([
+        "1_0", "٣", "1e5٠", "", "nan(1)", "\x00", "1\x002", '"1"', "1e", "- 1", "−1",
+        "0x1p3", "1d5", "2 # c", "nope",
+    ]),
+    st.builds(
+        lambda c, lead: c + "1" if lead else "1" + c,
+        st.sampled_from([chr(i) for i in range(32)] + ["\x7f", "\x85", "\xa0", "\u2028", "\u3000"]),
+        st.booleans(),
+    ),
+)
+_PAD = st.sampled_from(["", "", " ", "\t", " \t "])
+_SKIPPED = st.sampled_from(["", "", "   ", "\t", "#", "# note", " # indented", "\x1c"])
+
+
+@st.composite
+def csv_texts(draw, header=None, max_rows=12):
+    """CSV text under the read_columns rules, hostile in every way they name.
+
+    Returns (text, header). Without a header, one of 1 to 3 columns is drawn.
+    Each kind of fault is drawn on its own, so that clean files, and files
+    with only one kind of fault, are common.
+    """
+    if header is None:
+        header = ",".join("abc"[: draw(st.integers(1, 3))])
+    width = len(header.split(","))
+    header_kind = draw(st.sampled_from(["exact"] * 4 + ["padded", "wrong", "none"]))
+    row_width = draw(st.sampled_from([width] * 4 + [width + 1, max(width - 1, 1)]))
+    # one in n fields holds an odd token, and one in m rows is an odd line; 0: never
+    n, m = draw(st.sampled_from([0, 0, 0, 4, 16])), draw(st.sampled_from([0, 0, 0, 4, 16]))
+
+    def field():
+        odd = n and draw(st.integers(1, n)) == 1
+        return draw(_PAD) + draw(_ODD_TOKENS if odd else _NUMBER_TEXT) + draw(_PAD)
+
+    def row():
+        kind = draw(st.integers(1, 3)) if m and draw(st.integers(1, m)) == 1 else 0
+        if kind == 1:
+            return draw(_SKIPPED)
+        if kind == 2:
+            return ",".join(field() for _ in range(draw(st.integers(1, width + 2))))
+        return ",".join(field() for _ in range(row_width)) + ("," if kind == 3 else "")
+
+    lines = draw(st.lists(_SKIPPED, max_size=2))
+    if header_kind == "padded":
+        lines.append(",".join(draw(_PAD) + name + draw(_PAD) for name in header.split(",")))
+    elif header_kind == "wrong":
+        lines.append(header.upper())
+    elif header_kind == "exact":
+        lines.append(header)
+    lines += [row() for _ in range(draw(st.integers(0, max_rows)))]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text, header
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=csv_texts())
+def test_read_columns_matches_the_line_loop(case):
+    text, header = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert_same_as_oracle(path, header)
+
+
+@pytest.mark.parametrize("load, header, rows", CSV_FORMATS)
+def test_short_files_load_without_warnings(tmp_path, load, header, rows):
+    path = tmp_path / "in.csv"
+    for body, n in (("", 0), ("\n\n", 0), (f"{rows[0]}\n", 1), (f"{rows[0]}", 1)):
+        path.write_text(f"{header}\n{body}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data"
+            assert len(load(path)) == n
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert len(load(path)) == n
+        assert caught == []
+        assert_same_as_oracle(path, header)
+
+
+@pytest.mark.parametrize(
+    "line", ["# mid-body note", "", "   ", "4500,1_0", "4500, 2250.0 # inline", "4500\x1c,2250.0"]
+)
+def test_long_file_with_one_odd_line_matches_the_line_loop(tmp_path, line):
+    rows = [f"{i},{i * 0.5!r}" for i in range(10000)]
+    rows.insert(4500, line)
+    path = tmp_path / "long.csv"
+    path.write_text("a,b\n" + "\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_as_oracle(path, "a,b")
+
+
+def test_unseekable_stream_is_read_line_by_line(tmp_path):
+    for text, rows in (("a,b\n0,1\n1,2\n", 2), ("a,b\n", 0), ("a,b\n1_0,2\n", 1)):
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        try:
+            a, b = read_columns(f"/dev/fd/{read_end}", "a,b")
+        finally:
+            os.close(read_end)
+        assert a.size == b.size == rows
+
+
+def test_store_trace_text_is_the_per_row_format(tmp_path):
+    rng = np.random.default_rng(3)
+    times = np.concatenate(([-0.0, 5e-324, 0.1], np.sort(rng.uniform(1.0, 2.0, 500)),
+                            [1.7976931348623157e308]))
+    volts = np.concatenate(([-0.0, 5e-324, 0.1], rng.normal(size=500), [-1.7976931348623157e308]))
+    for trace in (make_trace(times, volts), make_trace([], [])):
+        path = tmp_path / "trace.csv"
+        store_trace(trace, path)
+        rows = "".join(f"{t:.17g},{v:.17g}\n" for t, v in trace.samples)
+        assert path.read_bytes() == f"time_s,voltage_v\n{rows}".encode()
 
 
 def test_preprocess_explicit_t0():
