@@ -38,18 +38,25 @@ early, as in squared-distance search (Rakthanmanon et al., "Searching and
 mining trillions of time series subsequences under dynamic time warping",
 KDD 2012), with a bound that is exact. A strided pre-pass scores every cell
 on at most one piece of samples; its 2 refine_top best cells, scored over
-the whole trace, give an upper bound tau on the refine_top-th best sum of
-squared errors (SSE). A cell is dropped once its pre-pass SSE, or its
-running SSE after a kernel call, exceeds tau. Squared errors are >= 0, so
-a sum over a subset of the samples is at most the sum over all of them,
-and a running sum never decreases from piece to piece: no cell that
-scores at most tau is dropped. The kept cells, and their scores bit for
-bit, are those of the full grid.
+the whole trace in the same whole-piece kernel calls as the main pass,
+give an upper bound tau on the refine_top-th best sum of squared errors
+(SSE). A cell is dropped once its pre-pass SSE, or its running SSE after a
+kernel call, exceeds tau. Squared errors are >= 0, so a sum over a subset
+of the samples is at most the sum over all of them, and a running sum
+never decreases from piece to piece: no cell that scores at most tau is
+dropped. The kept cells, and their scores bit for bit, are those of the
+full grid.
 
-The adhesion/detachment model is exactly degenerate under swapping k1 and
-k2 while rescaling gamma (B(t; C0 g, k1, k2) = B(t; C0 g k1/k2, k2, k1)),
-so channel estimates are canonicalized to k1 >= k2, and grid cells that
-are mirrors or neighbours of a start already refined are not refined again.
+LM stops on MINPACK's scale-free gradient test: once every column of J is
+within GRADIENT_COS_TOL of orthogonal to r, further steps change the cost
+only in its last digits. Each basin is refined once. The adhesion/detachment
+model is exactly degenerate under swapping k1 and k2 while rescaling gamma
+(B(t; C0 g, k1, k2) = B(t; C0 g k1/k2, k2, k1)), so channel estimates are
+canonicalized to k1 >= k2. Grid cells that are mirrors or neighbours of a
+start already refined are not refined again, and a later start is dropped
+as soon as it comes within one grid step of a minimum already found. Both
+rules hold only for minima inside the box: the box is not symmetric under
+the swap, so a start that ends on a bound may have a mirror that does not.
 """
 
 from __future__ import annotations
@@ -74,7 +81,9 @@ from .sensor import SensitivityCoeffs, SensitivityTable, SensorSpec
 from .traceio import Trace
 
 MAX_ITERATIONS = 200
-GRADIENT_TOL = 1e-10
+# Converged once every Jacobian column is this close to orthogonal to r
+# (MINPACK's gtol): max_j |J_j' r| / (||J_j|| ||r||), free of scale and n.
+GRADIENT_COS_TOL = 1e-8
 STEP_TOL = 1e-12
 LAMBDA_INIT = 1e-3
 FD_RELATIVE_STEP = 1e-6
@@ -105,7 +114,9 @@ class FitProblem:
     finite-difference steps (defaults to |x0| with zeros replaced by 1).
     jacobian, if given, maps a parameter vector to the residual's Jacobian
     (one row per residual, one column per parameter) and replaces the
-    finite differences.
+    finite differences. abandon, if given, is asked before the residual is
+    evaluated at each new point (the start and every trial step); once it
+    returns True the fit stops, terminated "abandoned".
     """
 
     residual: callable
@@ -113,6 +124,7 @@ class FitProblem:
     x0: np.ndarray
     scaling: np.ndarray | None = None
     jacobian: callable | None = None
+    abandon: callable | None = None
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -148,6 +160,11 @@ class FitResult:
     jac_condition the 2-norm condition estimate of the final Jacobian.
     residual_evals counts residual evaluations, finite-difference columns
     included, and jacobian_evals calls of an analytic Jacobian.
+    termination says why the fit stopped: "gradient" or "step" (both
+    converged), "max_iter", "no_descent" (no damping gave a lower cost) or
+    "abandoned" (the problem's abandon said so; mse, rmse and jac_condition
+    are NaN if no residual or Jacobian was evaluated). at_bound holds, per
+    parameter, whether the final iterate lies on its lower or upper bound.
     """
 
     params: np.ndarray
@@ -158,6 +175,8 @@ class FitResult:
     jac_condition: float
     residual_evals: int
     jacobian_evals: int
+    termination: str
+    at_bound: tuple
 
 
 @dataclass(frozen=True)
@@ -201,9 +220,11 @@ class SearchConfig:
     has been measured. refine_top bounds the LM starts: at most refine_top
     distinct starts among the refine_top best grid cells, where a cell
     within one grid step of a start already taken, directly or as its
-    swap-scale mirror, is skipped. refine_top also sets how many cells the
-    grid scores in full: it drops a cell once the cell cannot finish among
-    the refine_top best (see _grid_cells).
+    swap-scale mirror, is skipped, and a start that enters a basin already
+    refined (within one grid step of its minimum) is dropped there. Both
+    rules follow only starts whose fit ended inside the box. refine_top also
+    sets how many cells the grid scores in full: it drops a cell once the
+    cell cannot finish among the refine_top best (see _grid_cells).
 
     The box bounds and the thresholds must be finite, the thresholds >= 0,
     and the grid may have at most _MAX_GRID_CELLS (2^24) cells,
@@ -307,12 +328,18 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
     """Minimize 0.5 ||r(p)||^2 subject to box bounds.
 
     Uses the problem's analytic Jacobian when it has one, else forward
-    finite differences (_fd_jacobian). Terminates converged when the
-    gradient's largest component drops below GRADIENT_TOL or the (proposed)
-    relative step falls below STEP_TOL; returns converged=False after
-    MAX_ITERATIONS or when no decreasing step exists at any damping (never
-    raises for non-convergence). A non-finite residual at the initial guess
-    is an input error.
+    finite differences (_fd_jacobian). Stops converged on the gradient
+    test of MINPACK's lmder (Moré 1978), which does not depend on the
+    scale of r or of the parameters: every column of J is within
+    GRADIENT_COS_TOL of orthogonal to r, max_j |J_j' r| / (||J_j|| ||r||)
+    <= GRADIENT_COS_TOL, where a zero column counts as 0 and r = 0 as
+    converged ("gradient"); or once the proposed relative step falls below
+    STEP_TOL ("step"). Stops unconverged after MAX_ITERATIONS accepted
+    steps ("max_iter"), when no decreasing step exists at any damping
+    ("no_descent"), or when the problem's abandon returns True for the next
+    point to evaluate ("abandoned"); the result keeps the evaluation counts
+    and the last accepted point. Never raises for non-convergence. A
+    non-finite residual at the initial guess is an input error.
     """
     lo, hi = problem._bounds_arrays()
     # FD steps of at most 0.4 box widths, so a flipped probe stays in the box
@@ -331,41 +358,50 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
         jacobian_evals += 1
         return np.asarray(problem.jacobian(x), dtype=float)
 
+    def abandoned(x):
+        return problem.abandon is not None and bool(problem.abandon(x))
+
     p = problem.x0.copy()
-    r = residual(p)
-    if not np.all(np.isfinite(r)):
-        raise ValidationError("residual is not finite at the initial guess")
-    cost = 0.5 * float(r @ r)
-    lam = LAMBDA_INIT
-    converged = False
+    r = J = None
     accepted_steps = 0
-    J = None
-    while True:
+    termination = "abandoned" if abandoned(p) else None
+    if termination is None:
+        r = residual(p)
+        if not np.all(np.isfinite(r)):
+            raise ValidationError("residual is not finite at the initial guess")
+        cost = 0.5 * float(r @ r)
+        lam = LAMBDA_INIT
+    while termination is None:
         J = jacobian(p, r)
         g = J.T @ r
-        if np.max(np.abs(g)) < GRADIENT_TOL:
-            converged = True
+        A = J.T @ J
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosine = np.abs(g) / (np.sqrt(np.diag(A)) * math.sqrt(2.0 * cost))
+        cosine[g == 0.0] = 0.0  # a zero column, or r = 0
+        if np.max(cosine) <= GRADIENT_COS_TOL:
+            termination = "gradient"
             break
         if accepted_steps >= MAX_ITERATIONS:
+            termination = "max_iter"
             break
-        A = J.T @ J
         d = np.diag(A).copy()
         d[d <= 0.0] = 1.0
-        step_accepted = False
-        while True:
+        termination = "no_descent"  # unless a step is accepted below
+        while lam <= 1e15:
             try:
                 step = np.linalg.solve(A + lam * np.diag(d), -g)
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(A + lam * np.diag(d), -g, rcond=None)[0]
             if not np.all(np.isfinite(step)):
                 lam *= 10.0
-                if lam > 1e15:
-                    break
                 continue
             trial = np.clip(p + step, lo, hi)
             moved = trial - p
             if np.linalg.norm(moved) < STEP_TOL * (np.linalg.norm(p) + STEP_TOL):
-                converged = True
+                termination = "step"
+                break
+            if abandoned(trial):
+                termination = "abandoned"
                 break
             r_trial = residual(trial)
             if np.all(np.isfinite(r_trial)):
@@ -376,17 +412,12 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
                 p, r, cost = trial, r_trial, cost_trial
                 lam = max(lam / 10.0, 1e-14)
                 accepted_steps += 1
-                step_accepted = True
+                termination = None
                 break
             lam *= 10.0
-            if lam > 1e15:
-                break
-        if converged or not step_accepted:
-            break
-    n = r.size
-    mean_sq = float(r @ r) / n
+    mean_sq = math.nan if r is None else float(r @ r) / r.size
     try:
-        cond = float(np.linalg.cond(J))
+        cond = math.nan if J is None else float(np.linalg.cond(J))
     except np.linalg.LinAlgError:
         cond = math.inf
     return FitResult(
@@ -394,10 +425,12 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
         mse=mean_sq,
         rmse=math.sqrt(mean_sq),
         iterations=accepted_steps,
-        converged=converged,
+        converged=termination in ("gradient", "step"),
         jac_condition=cond,
         residual_evals=residual_evals,
         jacobian_evals=jacobian_evals,
+        termination=termination,
+        at_bound=tuple(bool(v) for v in (p <= lo) | (p >= hi)),
     )
 
 
@@ -502,8 +535,11 @@ def _grid_cells(
     best cells; the other cells are dropped as soon as they are known to
     score above tau. A strided pre-pass scores every cell on the samples
     times[::ceil(n / L)], at most one piece. The 2 keep best of it are
-    scored over the whole trace, and tau is the keep-th smallest SSE among
-    the feasible ones, times 1 + _PRUNE_SLACK (inf with fewer than keep).
+    scored over the whole trace by add_pieces, in whole-piece calls into
+    sums of their own, and their feasibility is judged from the peaks and
+    smallest positive Bhat those calls track. tau is the keep-th smallest
+    SSE among the feasible ones, times 1 + _PRUNE_SLACK (inf with fewer
+    than keep).
     The main pass then drops a cell once its subset SSE exceeds
     tau (1 + _PRUNE_SLACK) or, tested after every call, its running SSE
     exceeds tau. Both tests are exact, because squared errors are >= 0: a
@@ -574,22 +610,26 @@ def _grid_cells(
             np.cumsum(run, axis=1, out=run)
             sums[g, live[rows]] = run[:, -1]
 
-    def sorted_full_sse(cells):
-        """Sorted SSEs over the whole trace of the feasible ones among flat (gamma, pair) cells."""
-        out = []
-        g_of, p_of = np.unravel_index(cells, sse.shape)
-        for p in set(p_of.tolist()):
-            i, j = divmod(p, k)
-            b = kin_mod._bhat(k_nodes[i : i + 1], k_nodes[j : j + 1], times)[0, 0]
-            top = b.max()
-            b_ends = np.array([top, min(np.min(b, initial=np.inf, where=b > 0.0), top)])
-            b_pow = b**sens.b
-            for g in g_of[p_of == p]:
-                ends = c0[g] * b_ends
-                if channel_mod._defined(ends, sens.a * ends**sens.b + sens.c).all():
-                    diff = gain / (slope[g] * b_pow + offset) - meas_v
-                    out.append(float(diff @ diff))
-        return sorted(out)
+    def add_trace(cells, sums, tau):
+        """Add the squared errors over the whole trace of the cells set in cells to sums.
+
+        Each add_pieces call spans as many whole pieces as bhat_buf holds
+        for the live pairs; after each, a cell whose running sum exceeds
+        tau is cleared from cells.
+        """
+        start = 0
+        while start < n:
+            live = np.count_nonzero(cells.any(axis=0))  # >= 1: no cell scoring <= tau is cleared
+            stop = start + piece * (pairs // live)
+            add_pieces(times[start:stop], meas_v[start:stop], cells, sums)
+            cells &= ~(sums > tau)
+            start = stop
+
+    def defined():
+        """The cells where channel._defined holds at their pair's peak and smallest positive Bhat so far."""
+        # a pair with no positive Bhat has peak 0 and checks B = 0 at both ends
+        ends = c0[:, None, None] * np.stack((peak, np.minimum(low, peak)), axis=-1)
+        return channel_mod._defined(ends, sens.a * ends**sens.b + sens.c).all(axis=2)
 
     tau = np.inf
     with np.errstate(divide="ignore", over="ignore"):
@@ -597,21 +637,16 @@ def _grid_cells(
             stride = -(-n // piece)
             sub = np.zeros_like(sse)
             add_pieces(times[::stride], meas_v[::stride], alive, sub)
-            best = sorted_full_sse(np.argsort(sub, axis=None, kind="stable")[: 2 * keep])
-            if len(best) >= keep:
+            candidates = np.zeros_like(alive)
+            candidates.flat[np.argsort(sub, axis=None, kind="stable")[: 2 * keep]] = True
+            candidate_sse = np.zeros_like(sse)
+            add_trace(candidates, candidate_sse, np.inf)
+            best = np.sort(candidate_sse[candidates & defined()])
+            if best.size >= keep:
                 tau = best[keep - 1] * (1.0 + _PRUNE_SLACK)
             alive = ~(sub > tau * (1.0 + _PRUNE_SLACK))
-        start = 0
-        while start < n:
-            live = np.count_nonzero(alive.any(axis=0))  # >= 1: the keep best stay live
-            stop = start + piece * (pairs // live)  # as many pieces as bhat_buf holds
-            add_pieces(times[start:stop], meas_v[start:stop], alive, sse)
-            alive &= ~(sse > tau)
-            start = stop
-        # a pair with no positive Bhat has peak 0 and checks B = 0 at both ends
-        ends = c0[:, None, None] * np.stack((peak, np.minimum(low, peak)), axis=-1)
-        ratio = sens.a * ends**sens.b + sens.c
-    ok = channel_mod._defined(ends, ratio).all(axis=2) & alive
+        add_trace(alive, sse, tau)
+        ok = defined() & alive
     scores = np.where(ok, sse / n, np.inf).T.reshape(k, k, g_nodes.size)
     flat = scores.ravel()
     feasible_idx = np.flatnonzero(flat < np.inf)
@@ -690,24 +725,42 @@ class _TraceFit:
         )
 
 
-def _distinct_starts(cells: np.ndarray, search: SearchConfig) -> list:
+def _start_reach(search: SearchConfig) -> np.ndarray:
+    """One grid step in each of log k1, log k2 and log gamma, and a little slack."""
+    k_step = math.log(search.k_max / search.k_min) / (search.k_grid - 1)
+    g_step = math.log(search.gamma_max / search.gamma_min) / (search.gamma_grid - 1)
+    return np.array([k_step, k_step, g_step]) * (1.0 + 1e-9)
+
+
+def _canonical_key(p, search: SearchConfig) -> np.ndarray:
+    """The canonical triple of p = (k1, k2, gamma) (see canonicalize), in logs."""
+    return np.log(canonicalize(*p, search.gamma_min)[:3])
+
+
+def _within_reach(key, keys, reach) -> bool:
+    """Whether key lies within reach of one of keys in every coordinate."""
+    return any(np.all(np.abs(key - other) <= reach) for other in keys)
+
+
+def _distinct_starts(cells: np.ndarray, search: SearchConfig, refine=None) -> list:
     """The (k1, k2, gamma) starts among the best refine_top grid cells.
 
     A cell is skipped when its canonical triple (see canonicalize) lies
     within one grid step, in each of log k1, log k2 and log gamma, of the
     canonical triple of a start already taken: such cells are grid
     neighbours or swap-scale mirrors that reach the same minimum. The start
-    itself is the grid cell, not its canonical triple.
+    itself is the grid cell, not its canonical triple. refine, if given, is
+    called with each start as it is taken, and a start for which it returns
+    False skips no later cell.
     """
-    k_step = math.log(search.k_max / search.k_min) / (search.k_grid - 1)
-    g_step = math.log(search.gamma_max / search.gamma_min) / (search.gamma_grid - 1)
-    reach = np.array([k_step, k_step, g_step]) * (1.0 + 1e-9)
+    reach = _start_reach(search)
     starts, keys = [], []
     for _, k1, k2, gamma in cells[: search.refine_top]:
-        key = np.log(canonicalize(k1, k2, gamma, search.gamma_min)[:3])
-        if not any(np.all(np.abs(key - other) <= reach) for other in keys):
+        key = _canonical_key((k1, k2, gamma), search)
+        if not _within_reach(key, keys, reach):
             starts.append((k1, k2, gamma))
-            keys.append(key)
+            if refine is None or refine((k1, k2, gamma)):
+                keys.append(key)
     return starts
 
 
@@ -725,9 +778,14 @@ def estimate_channel_params(
     refine_top distinct starts among the best cells (see _distinct_starts)
     with levenberg_marquardt and its analytic Jacobian, and keeps the
     lowest-MSE result, ties broken by the lexicographically smallest
-    triple. The result is canonicalized to k1 >= k2. Its fit is the kept
-    start's FitResult, with residual_evals and jacobian_evals summed over
-    every start. The gamma field of tx is ignored; gamma is estimated.
+    triple. The first start runs to the end. Each later one is abandoned
+    before it evaluates a point whose canonical triple lies within one grid
+    step (in logs) of the canonical triple of a minimum already found
+    inside the box; abandoned starts are not candidates. A start whose fit
+    ends on a bound skips no later cell. The result is canonicalized to
+    k1 >= k2. Its fit is the kept start's FitResult, with residual_evals
+    and jacobian_evals summed over every start, abandoned ones included.
+    The gamma field of tx is ignored; gamma is estimated.
 
     Raises InsufficientDataError for fewer than 4 samples, NoSignalError
     for a flat trace, and ValidationError for negative or non-finite
@@ -758,16 +816,31 @@ def estimate_channel_params(
         )
 
     trace_fit = _TraceFit(measured, tx, sensor, s)
-    candidates = []
-    for x0 in _distinct_starts(cells, search):
-        result = levenberg_marquardt(trace_fit.problem(x0, search))
-        candidates.append((result.mse, tuple(result.params), result))
+    reach = _start_reach(search)
+    minima = []  # canonical log-triples of the minima found inside the box
+    results, candidates = [], []
+
+    def refine(x0):
+        """Refine from x0; whether its fit ended inside the box."""
+        problem = trace_fit.problem(x0, search)
+        if minima:
+            problem.abandon = lambda p: _within_reach(_canonical_key(p, search), minima, reach)
+        result = levenberg_marquardt(problem)
+        results.append(result)
+        inside = not any(result.at_bound)
+        if result.termination != "abandoned":
+            candidates.append((result.mse, tuple(result.params), result))
+            if inside:
+                minima.append(_canonical_key(result.params, search))
+        return inside
+
+    _distinct_starts(cells, search, refine)
     candidates.sort(key=lambda cand: (cand[0], cand[1]))
     best_mse, (k1, k2, gamma), best_fit = candidates[0]
     best_fit = dataclasses.replace(
         best_fit,
-        residual_evals=sum(c[2].residual_evals for c in candidates),
-        jacobian_evals=sum(c[2].jacobian_evals for c in candidates),
+        residual_evals=sum(r.residual_evals for r in results),
+        jacobian_evals=sum(r.jacobian_evals for r in results),
     )
     k1, k2, gamma, canonical = canonicalize(k1, k2, gamma, search.gamma_min)
     return ChannelEstimate(

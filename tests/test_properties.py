@@ -134,6 +134,41 @@ def test_pruned_grid_is_a_prefix_of_the_full_grid(k1, k2, gamma, s, sigma, seed,
     assert np.array_equal(pruned, full[: len(pruned)])
 
 
+@settings(deadline=None, max_examples=25)
+@given(
+    k2=st.floats(math.log(0.1), math.log(5.0)).map(math.exp),
+    rate_ratio=st.floats(1.5, 10.0),
+    gamma=st.floats(1.0, 10.0),
+    s=st.floats(0.8, 1.3),
+    sigma=st.floats(math.log(1e-3), math.log(0.03)).map(math.exp),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distinct_starts_lose_nothing_against_every_top_cell(k2, rate_ratio, gamma, s, sigma, seed):
+    # Non-confluent truths: a later start that enters the basin of a minimum
+    # already found is dropped, and none of the best grid cells, each
+    # refined to the end, finds a lower MSE than the estimate. Noise is at
+    # least 1e-3 V: the MSE at a minimum rounds to about eps V / sigma
+    # relative, which exceeds 1e-12 below that (a noiseless trace fits to
+    # about 1e-33 V^2). Noise can pull the estimate itself onto k1 ~ k2,
+    # where the two-exponential form of B leaves the MSE flat to about
+    # 2.4e-10 relative (see kinetics.CONFLUENT_REL_TOL); there the bound is
+    # that floor.
+    times = np.arange(1001) * 0.01
+    volts = response_voltages(
+        dataclasses.replace(TX, gamma=gamma), KineticsParams(k2 * rate_ratio, k2), SENSOR, s, times
+    )
+    trace = Trace(times, volts + np.random.default_rng(seed).normal(0.0, sigma, times.size))
+    search = fitting.SearchConfig()
+    est = fitting.estimate_channel_params(trace, TX, SENSOR, s, search)
+    trace_fit = fitting._TraceFit(trace, TX, SENSOR, s)
+    every = min(
+        fitting.levenberg_marquardt(trace_fit.problem(cell[1:], search)).mse
+        for cell in fitting._grid_cells(trace, TX, SENSOR, s, search)[: search.refine_top]
+    )
+    floor = 2.4e-10 if abs(est.k1 - est.k2) <= 1e-3 * max(est.k1, est.k2) else 1e-12
+    assert est.mse <= every * (1.0 + floor), (est.mse, every)
+
+
 _SCOPE_B = st.floats(*np.log(sensor.DETECTION_SCOPE)).map(math.exp)  # kg/m^3
 
 
