@@ -3,49 +3,56 @@
 The solver is a bounded Levenberg-Marquardt loop: solve
 (J'J + lambda diag(J'J)) step = -J'r, grow lambda tenfold on a rejected
 step, shrink it tenfold on an accepted one, and project iterates back into
-the bounds box after every step. J is the problem's analytic Jacobian when
-it supplies one (the MINPACK lmder pattern), else a forward
-finite-difference Jacobian. The two adapters are:
+the bounds box after every step. Every problem supplies its analytic
+Jacobian J (the MINPACK lmder pattern). The two adapters are:
 
-* fit_sensitivity: power-law coefficients (a, b, c) of a sensitivity table,
-  with finite differences.
+* fit_sensitivity: power-law coefficients (a, b, c) of a sensitivity table.
 * estimate_channel_params: channel parameters (k1, k2, gamma) from a
   measured voltage trace, seeded by a coarse log-spaced grid search and
-  refined, with the analytic Jacobian, from distinct starts among the best
-  grid cells.
+  refined from distinct starts among the best grid cells.
 
 Both stages factorise the model: B = C0(gamma) * Bhat(k1, k2, t) with
 Bhat the adhered concentration for C0 = 1, and C0 linear in gamma. One
 kernel, kinetics._bhat, gives Bhat for the grid, the LM residual and its
 Jacobian alike, and kinetics._bhat_rate_grad the rate derivatives of that
-Bhat. The grid's sensitivity is
-f(B) = a C0^b Bhat^b + c. It makes one pass over the trace, summing
-squared errors in pieces of L = 2^15 / k_grid^2 samples. One kernel call
-spans as many consecutive pieces as its buffers hold for the rate pairs
-still live: one piece while every pair is live, more as pairs are
-dropped. Per call, one exp(-k t) row per rate node gives Bhat^b for every
-live rate pair at once, and each live (gamma, pair) cell sums its squared
-error through an affine map and the divider, piece by piece, and adds the
-piece sums to its running SSE in time order. So the sums are those of one
-call per piece, bit for bit. LM evaluates the model once per point: its
-Jacobian reuses the B of the residual at the same point. Both stages mask
-where channel._defined fails: the grid at each rate pair's largest and
-smallest positive B, and LM through the NaN of channel._volts.
+Bhat. LM evaluates the model once per point: its Jacobian reuses the B of
+the residual at the same point. Both stages mask where channel._defined
+fails: the grid at each rate pair's largest and smallest positive B, and
+LM through the NaN of channel._volts.
+
+The grid's sensitivity is f(B) = a C0^b Bhat^b + c. It sums squared
+errors in pieces of L = _GRID_BLOCK_ELEMENTS / k_grid^2 samples. One
+kernel call spans k_grid^2 / (live rate pairs) consecutive pieces, so its
+buffers hold at most k_grid^2 L elements: one piece while every pair is
+live, tens once few are, and the last call may end in a shorter piece.
+Per call, one exp(-k t) row per rate node gives Bhat^b for every live rate
+pair at once, and each live (gamma, pair) cell sums its squared error
+through an affine map and the divider, piece by piece, and adds the piece
+sums to its running SSE in time order. So the sums are those of one call
+per piece, bit for bit.
 
 LM refines only the refine_top best grid cells, so the grid scores in full
 only the cells that can still finish among them. It abandons the others
 early, as in squared-distance search (Rakthanmanon et al., "Searching and
 mining trillions of time series subsequences under dynamic time warping",
-KDD 2012), with a bound that is exact. A strided pre-pass scores every cell
-on at most one piece of samples; its 2 refine_top best cells, scored over
-the whole trace in the same whole-piece kernel calls as the main pass,
-give an upper bound tau on the refine_top-th best sum of squared errors
-(SSE). A cell is dropped once its pre-pass SSE, or its running SSE after a
-kernel call, exceeds tau. Squared errors are >= 0, so a sum over a subset
-of the samples is at most the sum over all of them, and a running sum
+KDD 2012), with a bound that is exact. A pre-pass scores every cell on the
+samples times[::ceil(n / L)], at most one piece. Its 2 refine_top best
+cells are scored over the whole trace in the same whole-piece kernel calls
+as the main pass, into sums of their own, and their feasibility is judged
+from the Bhat ends those calls track. tau, the refine_top-th smallest
+feasible sum of squared errors (SSE) among them times 1 + _PRUNE_SLACK
+(inf with fewer), bounds the refine_top-th best SSE from above. A cell is
+dropped once its pre-pass SSE exceeds tau (1 + _PRUNE_SLACK), or its
+running SSE after a kernel call exceeds tau. Squared errors are >= 0, so a
+sum over a subset of the samples is at most the sum over all of them (the
+two round differently, by far less than the slack), and a running sum
 never decreases from piece to piece: no cell that scores at most tau is
-dropped. The kept cells, and their scores bit for bit, are those of the
-full grid.
+dropped, and a cell live to the end is kept only if it scores at most tau.
+The kept cells, and their scores bit for bit, are a prefix of the full
+grid's that holds at least the refine_top best; with refine_top at least
+the feasible cells, tau is at least every score and the prefix is the
+whole grid. A cell may be dropped a few pieces after its SSE passed tau;
+that costs work, not exactness.
 
 LM stops on MINPACK's scale-free gradient test: once every column of J is
 within GRADIENT_COS_TOL of orthogonal to r, further steps change the cost
@@ -86,7 +93,6 @@ MAX_ITERATIONS = 200
 GRADIENT_COS_TOL = 1e-8
 STEP_TOL = 1e-12
 LAMBDA_INIT = 1e-3
-FD_RELATIVE_STEP = 1e-6
 
 # Jacobian condition estimate above this is reported as rank-deficient.
 RANK_DEFICIENT_COND = 1e8
@@ -108,22 +114,18 @@ _MAX_GRID_CELLS = 2**24
 class FitProblem:
     """A bounded nonlinear least-squares problem.
 
-    residual maps a parameter vector to a residual vector; bounds is a
-    sequence of finite (lo, hi) pairs; x0 must lie inside the bounds;
-    scaling holds per-parameter characteristic magnitudes used for the
-    finite-difference steps (defaults to |x0| with zeros replaced by 1).
-    jacobian, if given, maps a parameter vector to the residual's Jacobian
-    (one row per residual, one column per parameter) and replaces the
-    finite differences. abandon, if given, is asked before the residual is
-    evaluated at each new point (the start and every trial step); once it
-    returns True the fit stops, terminated "abandoned".
+    residual maps a parameter vector to a residual vector, and jacobian
+    maps it to the residual's Jacobian (one row per residual, one column
+    per parameter); bounds is a sequence of finite (lo, hi) pairs; x0 must
+    lie inside the bounds. abandon, if given, is asked before the residual
+    is evaluated at each new point (the start and every trial step); once
+    it returns True the fit stops, terminated "abandoned".
     """
 
     residual: callable
+    jacobian: callable
     bounds: tuple
     x0: np.ndarray
-    scaling: np.ndarray | None = None
-    jacobian: callable | None = None
     abandon: callable | None = None
 
     def __post_init__(self):
@@ -137,14 +139,6 @@ class FitProblem:
             raise ValidationError("bounds and x0 must have matching length")
         if np.any(self.x0 < lo) or np.any(self.x0 > hi):
             raise ValidationError("initial guess must lie inside the bounds")
-        if self.scaling is None:
-            s = np.abs(self.x0)
-            s[s == 0.0] = 1.0
-            self.scaling = s
-        else:
-            self.scaling = np.asarray(self.scaling, dtype=float)
-            if np.any(self.scaling <= 0.0):
-                raise ValidationError("scaling entries must be > 0")
 
     def _bounds_arrays(self):
         b = np.asarray(self.bounds, dtype=float)
@@ -158,8 +152,8 @@ class FitResult:
     mse is the mean squared residual (V^2 for trace problems), rmse its
     square root, iterations the number of accepted steps, and
     jac_condition the 2-norm condition estimate of the final Jacobian.
-    residual_evals counts residual evaluations, finite-difference columns
-    included, and jacobian_evals calls of an analytic Jacobian.
+    residual_evals and jacobian_evals count the calls of the problem's
+    residual and jacobian.
     termination says why the fit stopped: "gradient" or "step" (both
     converged), "max_iter", "no_descent" (no damping gave a lower cost) or
     "abandoned" (the problem's abandon said so; mse, rmse and jac_condition
@@ -223,8 +217,7 @@ class SearchConfig:
     swap-scale mirror, is skipped, and a start that enters a basin already
     refined (within one grid step of its minimum) is dropped there. Both
     rules follow only starts whose fit ended inside the box. refine_top also
-    sets how many cells the grid scores in full: it drops a cell once the
-    cell cannot finish among the refine_top best (see _grid_cells).
+    sets how many cells the grid scores in full (see the module doc).
 
     The box bounds and the thresholds must be finite, the thresholds >= 0,
     and the grid may have at most _MAX_GRID_CELLS (2^24) cells,
@@ -307,43 +300,23 @@ def mse(model: Trace, measured: Trace) -> float:
     return float(diff @ diff) / diff.size
 
 
-def _fd_jacobian(fun, p, r0, scaling, hi):
-    """Forward finite-difference Jacobian with per-parameter steps.
-
-    Steps are FD_RELATIVE_STEP * scaling; a step that would cross the upper
-    bound is flipped backward so the probe stays feasible.
-    """
-    J = np.empty((r0.size, p.size))
-    for j in range(p.size):
-        h = FD_RELATIVE_STEP * scaling[j]
-        if p[j] + h > hi[j]:
-            h = -h
-        probe = p.copy()
-        probe[j] += h
-        J[:, j] = (np.asarray(fun(probe), dtype=float) - r0) / h
-    return J
-
-
 def levenberg_marquardt(problem: FitProblem) -> FitResult:
     """Minimize 0.5 ||r(p)||^2 subject to box bounds.
 
-    Uses the problem's analytic Jacobian when it has one, else forward
-    finite differences (_fd_jacobian). Stops converged on the gradient
-    test of MINPACK's lmder (Moré 1978), which does not depend on the
-    scale of r or of the parameters: every column of J is within
-    GRADIENT_COS_TOL of orthogonal to r, max_j |J_j' r| / (||J_j|| ||r||)
-    <= GRADIENT_COS_TOL, where a zero column counts as 0 and r = 0 as
-    converged ("gradient"); or once the proposed relative step falls below
-    STEP_TOL ("step"). Stops unconverged after MAX_ITERATIONS accepted
-    steps ("max_iter"), when no decreasing step exists at any damping
-    ("no_descent"), or when the problem's abandon returns True for the next
-    point to evaluate ("abandoned"); the result keeps the evaluation counts
-    and the last accepted point. Never raises for non-convergence. A
-    non-finite residual at the initial guess is an input error.
+    Stops converged on the gradient test of MINPACK's lmder (Moré 1978),
+    which does not depend on the scale of r or of the parameters: every
+    column of J is within GRADIENT_COS_TOL of orthogonal to r,
+    max_j |J_j' r| / (||J_j|| ||r||) <= GRADIENT_COS_TOL, where a zero
+    column counts as 0 and r = 0 as converged ("gradient"); or once the
+    proposed relative step falls below STEP_TOL ("step"). Stops
+    unconverged after MAX_ITERATIONS accepted steps ("max_iter"), when no
+    decreasing step exists at any damping ("no_descent"), or when the
+    problem's abandon returns True for the next point to evaluate
+    ("abandoned"); the result keeps the evaluation counts and the last
+    accepted point. Never raises for non-convergence. A non-finite residual
+    at the initial guess is an input error.
     """
     lo, hi = problem._bounds_arrays()
-    # FD steps of at most 0.4 box widths, so a flipped probe stays in the box
-    scaling = np.minimum(problem.scaling, 0.4 * (hi - lo) / FD_RELATIVE_STEP)
     residual_evals = jacobian_evals = 0
 
     def residual(x):
@@ -351,10 +324,8 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
         residual_evals += 1
         return np.asarray(problem.residual(x), dtype=float)
 
-    def jacobian(x, r):
+    def jacobian(x):
         nonlocal jacobian_evals
-        if problem.jacobian is None:
-            return _fd_jacobian(residual, x, r, scaling, hi)
         jacobian_evals += 1
         return np.asarray(problem.jacobian(x), dtype=float)
 
@@ -372,7 +343,7 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
         cost = 0.5 * float(r @ r)
         lam = LAMBDA_INIT
     while termination is None:
-        J = jacobian(p, r)
+        J = jacobian(p)
         g = J.T @ r
         A = J.T @ J
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -462,11 +433,15 @@ def fit_sensitivity(table: SensitivityTable) -> tuple[SensitivityCoeffs, FitResu
     def residual(p):
         return p[0] * x ** p[1] + p[2] - y
 
+    def jacobian(p):
+        power = x ** p[1]
+        return np.column_stack((power, p[0] * power * np.log(x), np.ones_like(x)))
+
     problem = FitProblem(
         residual=residual,
+        jacobian=jacobian,
         bounds=((1e-8, 1e3), (-5.0, -0.01), (-1e3, 1e3)),
         x0=np.array([a0, b0, 0.0]),
-        scaling=np.array([max(a0, 1e-3), max(abs(b0), 0.1), 1.0]),
     )
     result = levenberg_marquardt(problem)
     if degenerate or result.jac_condition > RANK_DEFICIENT_COND:
@@ -507,48 +482,14 @@ def _grid_cells(
     sensor: SensorSpec,
     s: float,
     search: SearchConfig,
-    keep: int | None = None,
 ) -> np.ndarray:
-    """Score the coarse (k1, k2, gamma) grid against a trace (see module doc).
+    """Score the coarse (k1, k2, gamma) grid against a trace, pruned to search.refine_top.
 
-    One pass over the trace that sums squared errors in pieces of
-    L = _GRID_BLOCK_ELEMENTS // k_grid^2 samples. Each call of add_pieces
-    spans m = k_grid^2 // (live rate pairs) consecutive pieces (the last
-    call may end in a shorter piece), so that bhat_buf and block_buf hold
-    at most k_grid^2 L elements: one piece per call while every pair is
-    live, tens of pieces once few are. Per call, kinetics._bhat gives Bhat
-    of every rate pair with a live cell, which is raised to the power b
-    once; each live (gamma, pair) cell then sums its squared error over
-    each piece on its own and adds the piece sums to its running SSE in
-    time order, the same floating-point operations as one call per piece.
-    Running per-pair peaks and smallest positive Bhat give the definedness
-    ends. Scores differ from a one-piece sum only by summation order.
-
-    Returns one row (mse, k1, k2, gamma) per feasible cell, sorted by MSE,
-    ties broken by the smallest triple. Bhat = 0 gives Bhat^b = inf and so
-    exactly 0 V, the model's B -> 0 limit. A cell is left out where
+    Returns one row (mse, k1, k2, gamma) per feasible cell kept (see the
+    module doc for the pieces, the kernel calls and the pruning), sorted by
+    MSE, ties broken by the smallest triple. Bhat = 0 gives Bhat^b = inf
+    and so exactly 0 V, the model's B -> 0 limit. A cell is left out where
     channel._defined fails at its largest or its smallest positive B.
-
-    Without keep every cell is live throughout. With keep, the result is the
-    prefix of that full list (same cells, order and scores) that holds
-    every cell whose SSE is at most a bound tau, and so at least the keep
-    best cells; the other cells are dropped as soon as they are known to
-    score above tau. A strided pre-pass scores every cell on the samples
-    times[::ceil(n / L)], at most one piece. The 2 keep best of it are
-    scored over the whole trace by add_pieces, in whole-piece calls into
-    sums of their own, and their feasibility is judged from the peaks and
-    smallest positive Bhat those calls track. tau is the keep-th smallest
-    SSE among the feasible ones, times 1 + _PRUNE_SLACK (inf with fewer
-    than keep).
-    The main pass then drops a cell once its subset SSE exceeds
-    tau (1 + _PRUNE_SLACK) or, tested after every call, its running SSE
-    exceeds tau. Both tests are exact, because squared errors are >= 0: a
-    subset sum is at most the full sum (the two sums round differently, by
-    far less than the slack), and the running sum never decreases from
-    piece to piece. So a cell whose SSE is at most tau is never dropped,
-    and a cell left live to the end is kept only if its SSE is at most tau.
-    A cell may be dropped a few pieces after its SSE passed tau; that
-    costs work, not exactness.
     """
     sens = sensor.sens
     k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
@@ -631,20 +572,18 @@ def _grid_cells(
         ends = c0[:, None, None] * np.stack((peak, np.minimum(low, peak)), axis=-1)
         return channel_mod._defined(ends, sens.a * ends**sens.b + sens.c).all(axis=2)
 
-    tau = np.inf
+    top = search.refine_top
     with np.errstate(divide="ignore", over="ignore"):
-        if keep is not None:
-            stride = -(-n // piece)
-            sub = np.zeros_like(sse)
-            add_pieces(times[::stride], meas_v[::stride], alive, sub)
-            candidates = np.zeros_like(alive)
-            candidates.flat[np.argsort(sub, axis=None, kind="stable")[: 2 * keep]] = True
-            candidate_sse = np.zeros_like(sse)
-            add_trace(candidates, candidate_sse, np.inf)
-            best = np.sort(candidate_sse[candidates & defined()])
-            if best.size >= keep:
-                tau = best[keep - 1] * (1.0 + _PRUNE_SLACK)
-            alive = ~(sub > tau * (1.0 + _PRUNE_SLACK))
+        stride = -(-n // piece)
+        sub = np.zeros_like(sse)
+        add_pieces(times[::stride], meas_v[::stride], alive, sub)
+        candidates = np.zeros_like(alive)
+        candidates.flat[np.argsort(sub, axis=None, kind="stable")[: 2 * top]] = True
+        candidate_sse = np.zeros_like(sse)
+        add_trace(candidates, candidate_sse, np.inf)
+        best = np.sort(candidate_sse[candidates & defined()])
+        tau = best[top - 1] * (1.0 + _PRUNE_SLACK) if best.size >= top else np.inf
+        alive = ~(sub > tau * (1.0 + _PRUNE_SLACK))
         add_trace(alive, sse, tau)
         ok = defined() & alive
     scores = np.where(ok, sse / n, np.inf).T.reshape(k, k, g_nodes.size)
@@ -720,7 +659,6 @@ class _TraceFit:
                 (search.gamma_min, search.gamma_max),
             ),
             x0=x0,
-            scaling=np.maximum(np.abs(x0), 1e-3),
             jacobian=self.jacobian,
         )
 
@@ -742,16 +680,16 @@ def _within_reach(key, keys, reach) -> bool:
     return any(np.all(np.abs(key - other) <= reach) for other in keys)
 
 
-def _distinct_starts(cells: np.ndarray, search: SearchConfig, refine=None) -> list:
+def _distinct_starts(cells: np.ndarray, search: SearchConfig, refine) -> list:
     """The (k1, k2, gamma) starts among the best refine_top grid cells.
 
     A cell is skipped when its canonical triple (see canonicalize) lies
     within one grid step, in each of log k1, log k2 and log gamma, of the
     canonical triple of a start already taken: such cells are grid
     neighbours or swap-scale mirrors that reach the same minimum. The start
-    itself is the grid cell, not its canonical triple. refine, if given, is
-    called with each start as it is taken, and a start for which it returns
-    False skips no later cell.
+    itself is the grid cell, not its canonical triple. refine is called with
+    each start as it is taken, and a start for which it returns False skips
+    no later cell.
     """
     reach = _start_reach(search)
     starts, keys = [], []
@@ -759,7 +697,7 @@ def _distinct_starts(cells: np.ndarray, search: SearchConfig, refine=None) -> li
         key = _canonical_key((k1, k2, gamma), search)
         if not _within_reach(key, keys, reach):
             starts.append((k1, k2, gamma))
-            if refine is None or refine((k1, k2, gamma)):
+            if refine((k1, k2, gamma)):
                 keys.append(key)
     return starts
 
@@ -773,17 +711,16 @@ def estimate_channel_params(
 ) -> ChannelEstimate:
     """Estimate (k1, k2, gamma) of a preprocessed voltage trace.
 
-    Stage 1 scores every feasible cell of a log-spaced (k1, k2, gamma) grid
+    Stage 1 scores the feasible cells of a log-spaced (k1, k2, gamma) grid
     by MSE against the trace (see _grid_cells); stage 2 refines at most
     refine_top distinct starts among the best cells (see _distinct_starts)
-    with levenberg_marquardt and its analytic Jacobian, and keeps the
-    lowest-MSE result, ties broken by the lexicographically smallest
-    triple. The first start runs to the end. Each later one is abandoned
-    before it evaluates a point whose canonical triple lies within one grid
-    step (in logs) of the canonical triple of a minimum already found
-    inside the box; abandoned starts are not candidates. A start whose fit
-    ends on a bound skips no later cell. The result is canonicalized to
-    k1 >= k2. Its fit is the kept start's FitResult, with residual_evals
+    with levenberg_marquardt, and keeps the lowest-MSE result, ties broken
+    by the lexicographically smallest triple. The first start runs to the
+    end. Each later one is abandoned before it evaluates a point whose
+    canonical triple lies within one grid step (in logs) of the canonical
+    triple of a minimum already found inside the box; abandoned starts are
+    not candidates. A start whose fit ends on a bound skips no later cell.
+    The result is canonicalized to k1 >= k2. Its fit is the kept start's FitResult, with residual_evals
     and jacobian_evals summed over every start, abandoned ones included.
     The gamma field of tx is ignored; gamma is estimated.
 
@@ -808,7 +745,7 @@ def estimate_channel_params(
         )
     kin_mod._as_time_array(measured.times)
 
-    cells = _grid_cells(measured, tx, sensor, s, search, keep=search.refine_top)
+    cells = _grid_cells(measured, tx, sensor, s, search)
     if len(cells) == 0:
         raise ValidationError(
             "model is not evaluable anywhere in the search box; check the "

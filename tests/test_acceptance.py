@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import rk4_trajectory
 
 from spraylink import cli
 from spraylink.calibration import reference_resistance
@@ -22,7 +23,7 @@ from spraylink.channel import (
     sample_response,
 )
 from spraylink.fitting import estimate_channel_params, fit_sensitivity
-from spraylink.kinetics import KineticsParams, bound_concentration, rk4_trajectory
+from spraylink.kinetics import KineticsParams, bound_concentration
 from spraylink.sensor import (
     DETECTION_SCOPE,
     MQ3_SENSITIVITY,

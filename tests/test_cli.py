@@ -151,6 +151,18 @@ def test_fit_sensitivity_bundled(capsys):
     assert rmse <= 0.0471
 
 
+def test_fit_sensitivity_bundled_prints_pinned_coefficients(capsys):
+    assert run(["fit-sensitivity"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "fitted bundled table (13 points)\n"
+        "a = 0.0115981\n"
+        "b = -0.585517\n"
+        "c = -0.074272\n"
+        "rmse = 0.0351894\n"
+        "converged = True after 40 steps\n"
+    )
+
+
 def test_fit_sensitivity_exact_table(tmp_path, capsys):
     path = tmp_path / "exact.csv"
     x = np.logspace(np.log10(5e-5), np.log10(1e-2), 30)

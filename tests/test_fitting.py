@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import _fd_jacobian
 
 from spraylink import fitting, kinetics
 from spraylink.channel import response_voltages, sample_response
@@ -19,7 +20,6 @@ from spraylink.fitting import (
     ChannelEstimate,
     FitProblem,
     SearchConfig,
-    _fd_jacobian,
     canonicalize,
     distance_trend,
     estimate_channel_params,
@@ -70,9 +70,17 @@ def test_mse_misaligned_grids():
 # ------------------------------------------- levenberg_marquardt
 
 
+def _unit_jacobian(p):
+    """Jacobian of the residual p - const."""
+    return np.eye(np.size(p))
+
+
 def test_lm_linear_residual():
     problem = FitProblem(
-        residual=lambda p: p - 3.0, bounds=((-100.0, 100.0),), x0=np.array([0.0])
+        residual=lambda p: p - 3.0,
+        jacobian=_unit_jacobian,
+        bounds=((-100.0, 100.0),),
+        x0=np.array([0.0]),
     )
     result = levenberg_marquardt(problem)
     assert result.converged
@@ -87,9 +95,9 @@ def test_lm_power_law_recovery():
 
     problem = FitProblem(
         residual=lambda p: p[0] * x ** p[1] + p[2] - y,
+        jacobian=lambda p: np.column_stack((x ** p[1], p[0] * x ** p[1] * np.log(x), np.ones_like(x))),
         bounds=((1e-8, 10.0), (-5.0, -0.01), (-10.0, 10.0)),
         x0=np.array([0.01, -0.5, 0.0]),
-        scaling=np.array([0.01, 0.5, 0.1]),
     )
     result = levenberg_marquardt(problem)
     assert result.converged
@@ -103,9 +111,9 @@ def test_lm_rosenbrock():
 
     problem = FitProblem(
         residual=residual,
+        jacobian=lambda p: np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]]),
         bounds=((-5.0, 5.0), (-5.0, 5.0)),
         x0=np.array([-1.2, 1.0]),
-        scaling=np.array([1.0, 1.0]),
     )
     result = levenberg_marquardt(problem)
     assert result.converged
@@ -122,8 +130,11 @@ def test_lm_never_raises_on_nonconvergence_and_descends():
     def residual(p):
         return p[0] * np.sin(40.0 * p[1] * x) - y
 
+    def jacobian(p):
+        return np.column_stack((np.sin(40.0 * p[1] * x), 40.0 * p[0] * x * np.cos(40.0 * p[1] * x)))
+
     x0 = np.array([0.5, 0.5])
-    problem = FitProblem(residual=residual, bounds=((-2.0, 2.0), (-2.0, 2.0)), x0=x0)
+    problem = FitProblem(residual=residual, jacobian=jacobian, bounds=((-2.0, 2.0), (-2.0, 2.0)), x0=x0)
     result = levenberg_marquardt(problem)
     r0 = residual(x0)
     assert result.mse <= float(r0 @ r0) / r0.size + 1e-15
@@ -134,7 +145,7 @@ def test_lm_never_raises_on_nonconvergence_and_descends():
 
 def test_lm_respects_bounds():
     problem = FitProblem(
-        residual=lambda p: p - 3.0, bounds=((-1.0, 1.0),), x0=np.array([0.0])
+        residual=lambda p: p - 3.0, jacobian=_unit_jacobian, bounds=((-1.0, 1.0),), x0=np.array([0.0])
     )
     result = levenberg_marquardt(problem)
     assert result.params[0] == 1.0  # clipped at the boundary
@@ -151,12 +162,15 @@ def test_lm_gradient_test_does_not_depend_on_scale(scale):
     b = np.array([1.0, 2.0, 4.0])
     result = levenberg_marquardt(
         FitProblem(
-            residual=lambda p: scale * (a @ p - b), bounds=((-10.0, 10.0), (-10.0, 10.0)), x0=[0.0, 0.0]
+            residual=lambda p: scale * (a @ p - b),
+            jacobian=lambda p: scale * a,
+            bounds=((-10.0, 10.0), (-10.0, 10.0)),
+            x0=[0.0, 0.0],
         )
     )
     assert result.termination == "gradient" and result.converged
     assert result.at_bound == (False, False)
-    assert (result.iterations, result.residual_evals) == (3, 12)  # the same at every scale
+    assert (result.iterations, result.residual_evals) == (3, 4)  # the same at every scale
     np.testing.assert_allclose(result.params, np.linalg.lstsq(a, b, rcond=None)[0], rtol=1e-9)
 
 
@@ -165,8 +179,13 @@ def test_lm_gradient_test_takes_a_zero_column_or_residual_as_orthogonal():
     b = np.array([1.0, 2.0, 4.0])
     box = ((-10.0, 10.0),) * 3
     # p[2] does not enter the residual: its column of J is 0
-    ignored = FitProblem(residual=lambda p: a @ p[:2] - b, bounds=box, x0=[0.0, 0.0, 1.0])
-    exact = FitProblem(residual=lambda p: a @ p[:2] - a @ [1.0, 2.0], bounds=box, x0=[1.0, 2.0, 1.0])
+    jac = np.column_stack((a, np.zeros(3)))
+    ignored = FitProblem(
+        residual=lambda p: a @ p[:2] - b, jacobian=lambda p: jac, bounds=box, x0=[0.0, 0.0, 1.0]
+    )
+    exact = FitProblem(
+        residual=lambda p: a @ p[:2] - a @ [1.0, 2.0], jacobian=lambda p: jac, bounds=box, x0=[1.0, 2.0, 1.0]
+    )
     for problem in (ignored, exact):
         result = levenberg_marquardt(problem)
         assert result.termination == "gradient" and result.converged
@@ -177,7 +196,12 @@ def test_lm_stops_after_max_iterations():
     # r = exp(-p) descends by a Gauss-Newton step of 1 without end, and one
     # residual is always parallel to its one column
     result = levenberg_marquardt(
-        FitProblem(residual=lambda p: np.exp(-p), bounds=((0.0, 1e3),), x0=[0.0])
+        FitProblem(
+            residual=lambda p: np.exp(-p),
+            jacobian=lambda p: -np.exp(-p)[:, None],
+            bounds=((0.0, 1e3),),
+            x0=[0.0],
+        )
     )
     assert result.termination == "max_iter" and not result.converged
     assert result.iterations == fitting.MAX_ITERATIONS
@@ -191,7 +215,9 @@ def test_lm_stops_when_no_damping_descends():
         # large steps at any damping, and no finite residual but at the start
         return p - 1e6 if np.array_equal(p, x0) else np.array([np.nan])
 
-    result = levenberg_marquardt(FitProblem(residual=residual, bounds=((-10.0, 10.0),), x0=x0))
+    result = levenberg_marquardt(
+        FitProblem(residual=residual, jacobian=_unit_jacobian, bounds=((-10.0, 10.0),), x0=x0)
+    )
     assert result.termination == "no_descent" and not result.converged
     assert result.params[0] == 1.0 and result.iterations == 0
 
@@ -206,9 +232,9 @@ def test_lm_abandons_before_it_evaluates_a_point():
     result = levenberg_marquardt(
         FitProblem(
             residual=lambda p: p - 3.0,
+            jacobian=_unit_jacobian,
             bounds=((-10.0, 10.0),),
             x0=[0.0],
-            jacobian=lambda p: np.ones((1, 1)),
             abandon=abandon,
         )
     )
@@ -219,7 +245,13 @@ def test_lm_abandons_before_it_evaluates_a_point():
     assert result.params[0] == 0.0 and result.mse == 9.0
 
     result = levenberg_marquardt(
-        FitProblem(residual=lambda p: p - 3.0, bounds=((-10.0, 10.0),), x0=[0.0], abandon=lambda p: True)
+        FitProblem(
+            residual=lambda p: p - 3.0,
+            jacobian=_unit_jacobian,
+            bounds=((-10.0, 10.0),),
+            x0=[0.0],
+            abandon=lambda p: True,
+        )
     )
     assert result.termination == "abandoned" and not result.converged
     assert (result.residual_evals, result.jacobian_evals, result.iterations) == (0, 0, 0)
@@ -228,24 +260,34 @@ def test_lm_abandons_before_it_evaluates_a_point():
 
 def test_lm_input_validation():
     with pytest.raises(ValidationError):
-        FitProblem(residual=lambda p: p, bounds=((0.0, 1.0),), x0=np.array([2.0]))
+        FitProblem(residual=lambda p: p, jacobian=_unit_jacobian, bounds=((0.0, 1.0),), x0=np.array([2.0]))
     with pytest.raises(ValidationError):
-        FitProblem(residual=lambda p: p, bounds=((0.0, math.inf),), x0=np.array([0.5]))
+        FitProblem(
+            residual=lambda p: p, jacobian=_unit_jacobian, bounds=((0.0, math.inf),), x0=np.array([0.5])
+        )
     problem = FitProblem(
-        residual=lambda p: p * np.nan, bounds=((0.0, 1.0),), x0=np.array([0.5])
+        residual=lambda p: p * np.nan, jacobian=_unit_jacobian, bounds=((0.0, 1.0),), x0=np.array([0.5])
     )
     with pytest.raises(ValidationError):
         levenberg_marquardt(problem)
 
 
 def test_lm_probes_stay_inside_a_box_narrower_than_the_fd_step():
+    # every point LM evaluates, residual or Jacobian, lies in a box 1e-7
+    # wide, a tenth of a 1e-6 relative difference step
     lo, hi = 1.0, 1.0 + 1e-7
 
     def residual(p):
         assert lo <= p[0] <= hi, p
         return np.array([p[0] - 2.0, 0.5 * p[0]])
 
-    result = levenberg_marquardt(FitProblem(residual=residual, bounds=((lo, hi),), x0=[hi]))
+    def jacobian(p):
+        assert lo <= p[0] <= hi, p
+        return np.array([[1.0], [0.5]])
+
+    result = levenberg_marquardt(
+        FitProblem(residual=residual, jacobian=jacobian, bounds=((lo, hi),), x0=[hi])
+    )
     assert lo <= result.params[0] <= hi
 
 
@@ -261,17 +303,11 @@ def test_lm_counts_evaluations():
         return np.array([[1.0, 0.0], [0.0, 4.0 * (p[1] + 1.0)]])
 
     box = ((-10.0, 10.0), (-10.0, 10.0))
-    results = {}
-    for name, jac in (("fd", None), ("analytic", jacobian)):
-        calls.update(residual=0, jacobian=0)
-        result = levenberg_marquardt(
-            FitProblem(residual=residual, bounds=box, x0=[0.0, 0.0], jacobian=jac)
-        )
-        assert result.residual_evals == calls["residual"]  # FD columns included
-        assert result.jacobian_evals == calls["jacobian"]
-        results[name] = result
-    assert results["fd"].jacobian_evals == 0 < results["analytic"].jacobian_evals
-    assert results["analytic"].residual_evals < results["fd"].residual_evals
+    result = levenberg_marquardt(
+        FitProblem(residual=residual, jacobian=jacobian, bounds=box, x0=[0.0, 0.0])
+    )
+    assert result.residual_evals == calls["residual"]
+    assert result.jacobian_evals == calls["jacobian"] > 0
 
 
 def test_fd_jacobian_against_analytic():
@@ -282,7 +318,7 @@ def test_fd_jacobian_against_analytic():
         return p[0] * x ** p[1] + p[2] - 1.0
 
     p = np.array([a, b, c])
-    J = _fd_jacobian(residual, p, residual(p), np.abs(p), np.array([1.0, 1.0, 1.0]))
+    J = _fd_jacobian(residual, p, residual(p), 1e-6 * np.abs(p), np.array([1.0, 1.0, 1.0]))
     analytic = np.column_stack([x**b, a * x**b * np.log(x), np.ones_like(x)])
     np.testing.assert_allclose(J, analytic, rtol=1e-4)
 
@@ -452,6 +488,11 @@ _TOP1 = SearchConfig(refine_top=1)
 _CHUNK = fitting._GRID_BLOCK_ELEMENTS // _DEFAULT.k_grid**2
 
 
+def _full(search):
+    """search with refine_top at every cell: the grid keeps every feasible cell."""
+    return dataclasses.replace(search, refine_top=search.k_grid**2 * search.gamma_grid)
+
+
 # (k1, k2, gamma, s, duration, samples, sensitivity, search) of a noisy trace
 _GRID_CASE_ARGS = "k1, k2, gamma, s, t_end, n, sens, search"
 _GRID_CASES = [
@@ -489,7 +530,7 @@ def test_grid_cells_match_per_cell_model(
     sensor = bench_sensor if sens is None else dataclasses.replace(bench_sensor, sens=sens)
     trace = _noisy_trace(bench_tx, sensor, k1, k2, gamma, s, np.linspace(0.0, t_end, n))
 
-    cells = fitting._grid_cells(trace, bench_tx, sensor, s, search)
+    cells = fitting._grid_cells(trace, bench_tx, sensor, s, _full(search))
     _assert_same_cells(cells, _reference_grid_cells(trace, bench_tx, sensor, s, search))
 
     full = search.k_grid**2 * search.gamma_grid
@@ -523,20 +564,20 @@ def test_pruned_grid_is_a_prefix_of_the_full_grid(
 ):
     sensor = bench_sensor if sens is None else dataclasses.replace(bench_sensor, sens=sens)
     trace = _noisy_trace(bench_tx, sensor, k1, k2, gamma, s, np.linspace(0.0, t_end, n))
-    full = fitting._grid_cells(trace, bench_tx, sensor, s, search)
+    full = fitting._grid_cells(trace, bench_tx, sensor, s, _full(search))
     for keep in (1, search.refine_top):
-        pruned = fitting._grid_cells(trace, bench_tx, sensor, s, search, keep=keep)
+        pruned = fitting._grid_cells(trace, bench_tx, sensor, s, dataclasses.replace(search, refine_top=keep))
         _assert_pruned_prefix(pruned, full, keep)
         if n >= 1001 and search is _DEFAULT:
             assert len(pruned) < len(full) // 10  # the bound prunes
-    # with keep at least the feasible cells, tau is inf or above every score
-    for keep in (len(full), search.k_grid**2 * search.gamma_grid):
-        assert np.array_equal(fitting._grid_cells(trace, bench_tx, sensor, s, search, keep=keep), full)
+    # with refine_top at least the feasible cells, tau is inf or above every score
+    exact = dataclasses.replace(search, refine_top=len(full))
+    assert np.array_equal(fitting._grid_cells(trace, bench_tx, sensor, s, exact), full)
 
 
 @pytest.mark.parametrize("n, dt", [(1001, 0.01), (20001, 0.0005)], ids=["fit_1k", "fit_20k"])
 def test_pruned_grid_evaluates_under_two_fifths_of_bhat(bench_tx, bench_sensor, monkeypatch, n, dt):
-    # (rate pairs x samples) of Bhat per grid; the full grid makes k_grid^2 n
+    # (rate pairs x samples) of Bhat per grid; one unpruned pass makes k_grid^2 n
     trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, np.arange(n) * dt)
     bhat = kinetics._bhat
     work = []
@@ -547,9 +588,6 @@ def test_pruned_grid_evaluates_under_two_fifths_of_bhat(bench_tx, bench_sensor, 
 
     monkeypatch.setattr(kinetics, "_bhat", counted)
     fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT)
-    assert sum(work) == _DEFAULT.k_grid**2 * n
-    work.clear()
-    fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT, keep=_DEFAULT.refine_top)
     assert sum(work) < 0.4 * _DEFAULT.k_grid**2 * n
 
 
@@ -569,7 +607,7 @@ def test_pruned_grid_scores_whole_pieces_per_kernel_call(bench_tx, bench_sensor,
         return bhat(k1, k2, t, *args, **kwargs)
 
     monkeypatch.setattr(kinetics, "_bhat", counted)
-    fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT, keep=_DEFAULT.refine_top)
+    fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT)
     assert len(sizes) <= 40
     assert sizes[0] <= _CHUNK and sum(sizes[1:]) == 2 * n
     ends = np.cumsum(sizes[1:])
@@ -616,7 +654,7 @@ def test_grid_refuses_pairs_at_their_first_sample(bench_tx, bench_sensor):
     sensor = dataclasses.replace(bench_sensor, sens=SensitivityCoeffs(a=1e-60, b=-20.0, c=0.01))
     times = np.concatenate(([0.0, 1e-12], np.linspace(0.01, 10.0, 999)))
     trace = _noisy_trace(bench_tx, sensor, 20.0, 0.5, 3.0, 1.0, times)
-    cells = fitting._grid_cells(trace, bench_tx, sensor, 1.0, _DEFAULT)
+    cells = fitting._grid_cells(trace, bench_tx, sensor, 1.0, _full(_DEFAULT))
     ref = _reference_grid_cells(trace, bench_tx, sensor, 1.0, _DEFAULT)
     assert len(cells) < _DEFAULT.k_grid**2 * _DEFAULT.gamma_grid
     _assert_same_cells_by_triple(cells, ref)
@@ -626,7 +664,7 @@ def test_grid_keeps_pairs_whose_bhat_is_zero_throughout(bench_tx, bench_sensor):
     # At 100 s spacing the fast pairs have Bhat = 0 at every sample: 0 V
     # throughout, which is defined although f(B) -> c < 0 for the MQ-3 curve.
     trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, np.linspace(0.0, 1e5, 1001))
-    cells = fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT)
+    cells = fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _full(_DEFAULT))
     ref = _reference_grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT)
     assert len(cells) == _DEFAULT.k_grid**2 * _DEFAULT.gamma_grid
     _assert_same_cells_by_triple(cells, ref)
@@ -649,7 +687,7 @@ def test_grid_does_not_evaluate_per_pair(bench_tx, bench_sensor, monkeypatch):
         raise AssertionError("kinetics.bound_concentration called")
 
     monkeypatch.setattr(kinetics, "bound_concentration", refuse)
-    _assert_same_cells(fitting._grid_cells(trace, bench_tx, bench_sensor, 0.5, _DEFAULT), ref)
+    _assert_same_cells(fitting._grid_cells(trace, bench_tx, bench_sensor, 0.5, _full(_DEFAULT)), ref)
 
 
 def test_pruned_grid_scratch_stays_flat_as_calls_span_more_pieces(bench_tx, bench_sensor):
@@ -659,7 +697,7 @@ def test_pruned_grid_scratch_stays_flat_as_calls_span_more_pieces(bench_tx, benc
     trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, np.arange(20001) * 0.0005)
     tracemalloc.start()
     try:
-        fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, search, keep=search.refine_top)
+        fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, search)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -673,14 +711,14 @@ def test_grid_scoring_memory_is_bounded(bench_tx, bench_sensor):
     trace = sample_response(
         dataclasses.replace(bench_tx, gamma=3.0), KineticsParams(2.0, 0.5), bench_sensor, 1.0, times
     )
-    for keep in (None, _DEFAULT.refine_top):
+    for search in (_full(_DEFAULT), _DEFAULT):
         tracemalloc.start()
         try:
-            fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, SearchConfig(), keep=keep)
+            fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, search)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2_000_000, keep
+        assert peak < 2_000_000, search.refine_top
 
 
 def _criterion_07_traces(bench_tx, bench_sensor):
@@ -705,7 +743,7 @@ def test_distinct_starts_lose_nothing_against_every_top_cell(bench_tx, bench_sen
             for cell in cells[: search.refine_top]
         )
         assert est.mse <= every * (1.0 + 1e-12), (s, est.mse, every)
-        skipped += search.refine_top - len(fitting._distinct_starts(cells, search))
+        skipped += search.refine_top - len(fitting._distinct_starts(cells, search, lambda x0: True))
     assert skipped > 0  # the rule is exercised
 
 
@@ -788,7 +826,10 @@ def test_pruned_grid_leaves_every_estimate_unchanged(bench_tx, bench_sensor, mon
     traces = list(_criterion_07_traces(bench_tx, bench_sensor))
     pruned = [repr(estimate_channel_params(trace, bench_tx, bench_sensor, s)) for s, trace in traces]
     full_grid = fitting._grid_cells
-    monkeypatch.setattr(fitting, "_grid_cells", lambda *args, keep=None: full_grid(*args))
+    def full_grid_cells(trace, tx, sensor, s, search):
+        return full_grid(trace, tx, sensor, s, _full(search))
+
+    monkeypatch.setattr(fitting, "_grid_cells", full_grid_cells)
     full = [repr(estimate_channel_params(trace, bench_tx, bench_sensor, s)) for s, trace in traces]
     assert pruned == full
 
@@ -805,11 +846,11 @@ def test_distinct_starts_skip_neighbours_and_mirrors():
         [5.0, k[8], k[5], g[2]],
         [6.0, k[0], k[0], g[0]],  # beyond refine_top
     ])
-    assert fitting._distinct_starts(cells, search) == [
+    assert fitting._distinct_starts(cells, search, lambda x0: True) == [
         (k[8], k[5], g[2]), (k[10], k[5], g[2])
     ]
     one = SearchConfig(refine_top=1)
-    assert fitting._distinct_starts(cells, one) == [(k[8], k[5], g[2])]
+    assert fitting._distinct_starts(cells, one, lambda x0: True) == [(k[8], k[5], g[2])]
     # a start that refine reports as ending on the box's edge skips nothing
     every = [tuple(cell[1:]) for cell in cells[: search.refine_top]]
     assert fitting._distinct_starts(cells, search, lambda x0: False) == every

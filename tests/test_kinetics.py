@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import rk4_trajectory
 
 from spraylink import kinetics
 from spraylink.errors import ValidationError
@@ -12,7 +13,6 @@ from spraylink.kinetics import (
     bound_concentration,
     free_concentration,
     peak_time,
-    rk4_trajectory,
 )
 
 # ln(4)/1.5, the peak time for (k1, k2) = (2, 0.5)

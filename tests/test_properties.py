@@ -5,6 +5,7 @@ import math
 from unittest import mock
 
 import numpy as np
+from conftest import _fd_jacobian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,10 +67,10 @@ def test_channel_jacobian_matches_finite_differences(k1, k2, confluence, gamma):
     jac = trace_fit.jacobian(p)
     with mock.patch.object(kinetics, "CONFLUENT_REL_TOL", 1.0):
         r0 = trace_fit.residual(p)
-        step = 10.0 * np.abs(p)  # times FD_RELATIVE_STEP
+        step = 1e-5 * np.abs(p)
         fd = 0.5 * (
-            fitting._fd_jacobian(trace_fit.residual, p, r0, step, np.full(3, np.inf))
-            + fitting._fd_jacobian(trace_fit.residual, p, r0, step, p)  # flipped steps
+            _fd_jacobian(trace_fit.residual, p, r0, step, np.full(3, np.inf))
+            + _fd_jacobian(trace_fit.residual, p, r0, step, p)  # flipped steps
         )
     assert np.all(np.isfinite(jac))
     assert np.all(jac[0] == 0.0)  # B = 0 at t = 0
@@ -128,8 +129,9 @@ def test_pruned_grid_is_a_prefix_of_the_full_grid(k1, k2, gamma, s, sigma, seed,
     )
     trace = Trace(TIMES, volts + np.random.default_rng(seed).normal(0.0, sigma, TIMES.size))
     search = fitting.SearchConfig(refine_top=refine_top)
-    full = fitting._grid_cells(trace, TX, SENSOR, s, search)
-    pruned = fitting._grid_cells(trace, TX, SENSOR, s, search, keep=refine_top)
+    every_cell = dataclasses.replace(search, refine_top=search.k_grid**2 * search.gamma_grid)
+    full = fitting._grid_cells(trace, TX, SENSOR, s, every_cell)
+    pruned = fitting._grid_cells(trace, TX, SENSOR, s, search)
     assert len(pruned) >= min(refine_top, len(full))
     assert np.array_equal(pruned, full[: len(pruned)])
 
