@@ -16,9 +16,10 @@ Bhat the adhered concentration for C0 = 1, and C0 linear in gamma. One
 kernel, kinetics._bhat, gives Bhat for the grid, the LM residual and its
 Jacobian alike, and kinetics._bhat_rate_grad the rate derivatives of that
 Bhat. LM evaluates the model once per point: its Jacobian reuses the B of
-the residual at the same point. Both stages mask where channel._defined
-fails: the grid at each rate pair's largest and smallest positive B, and
-LM through the NaN of channel._volts.
+the residual at the same point, and the exp(-k1 t) and exp(-k2 t) rows
+behind it. Both stages mask where channel._defined fails: the grid at each
+rate pair's largest and smallest positive B, and LM through the NaN of
+channel._volts.
 
 The grid's sensitivity is f(B) = a C0^b Bhat^b + c. It sums squared
 errors in pieces of L = _GRID_BLOCK_ELEMENTS / k_grid^2 samples. One
@@ -35,24 +36,32 @@ LM refines only the refine_top best grid cells, so the grid scores in full
 only the cells that can still finish among them. It abandons the others
 early, as in squared-distance search (Rakthanmanon et al., "Searching and
 mining trillions of time series subsequences under dynamic time warping",
-KDD 2012), with a bound that is exact. A pre-pass scores every cell on the
-samples times[::ceil(n / L)], at most one piece. Its 2 refine_top best
-cells are scored over the whole trace in the same whole-piece kernel calls
-as the main pass, into sums of their own, and their feasibility is judged
-from the Bhat ends those calls track. tau, the refine_top-th smallest
-feasible sum of squared errors (SSE) among them times 1 + _PRUNE_SLACK
-(inf with fewer), bounds the refine_top-th best SSE from above. A cell is
-dropped once its pre-pass SSE exceeds tau (1 + _PRUNE_SLACK), or its
-running SSE after a kernel call exceeds tau. Squared errors are >= 0, so a
-sum over a subset of the samples is at most the sum over all of them (the
-two round differently, by far less than the slack), and a running sum
-never decreases from piece to piece: no cell that scores at most tau is
-dropped, and a cell live to the end is kept only if it scores at most tau.
-The kept cells, and their scores bit for bit, are a prefix of the full
-grid's that holds at least the refine_top best; with refine_top at least
-the feasible cells, tau is at least every score and the prefix is the
-whole grid. A cell may be dropped a few pieces after its SSE passed tau;
-that costs work, not exactness.
+KDD 2012), with a bound that is exact, and as there it scores first the
+samples most likely to push a cell past the bound. A pre-pass scores every
+cell on the samples times[::ceil(n / L)], at most one piece. Its
+2 refine_top best cells, the candidates, are scored over the whole trace in
+whole-piece kernel calls, and their feasibility is judged from the Bhat
+ends those calls track. tau, the refine_top-th smallest feasible sum of
+squared errors (SSE) among them times 1 + _PRUNE_SLACK (inf with fewer),
+bounds the refine_top-th best SSE from above. With bound =
+tau (1 + _PRUNE_SLACK), a candidate is kept if its SSE is at most tau and
+its pre-pass SSE at most bound, and is not scored again. Any other cell is
+dropped once its pre-pass SSE exceeds bound. The rest are scored on the
+probe pieces (_probe_starts), one kernel call each, and dropped once the
+sum of their probe sums exceeds bound. The sweep then scores the live
+cells in time order, in calls that stop before each probe piece, adds the
+stored probe sums where it reaches them, and drops a cell once its
+running SSE plus the probe sums still ahead exceeds bound; it ends once no
+cell is live, and a cell live to the end is kept only if it scores at most
+tau. Squared errors are >= 0, so a sum over a subset of the samples is at
+most the sum over all of them (the two round differently, by far less
+than the slack), and no cell that scores at most tau is dropped. Every
+kept SSE adds the same piece sums in time order as one call per piece
+would, so the kept cells, and their scores bit for bit, are a prefix of
+the full grid's that holds at least the refine_top best; with refine_top
+at least the feasible cells, tau is at least every score and the prefix
+is the whole grid. A cell may be dropped a few pieces after its SSE passed
+tau; that costs work, not exactness.
 
 LM stops on MINPACK's scale-free gradient test: once every column of J is
 within GRADIENT_COS_TOL of orthogonal to r, further steps change the cost
@@ -104,6 +113,9 @@ _GRID_BLOCK_ELEMENTS = 2**15
 
 # Relative slack of the grid's pruning bound over the rounding of its sums.
 _PRUNE_SLACK = 1e-9
+
+# Most whole pieces the grid scores ahead of its sweep in time order.
+_PROBES = 8
 
 # Most grid cells a search may ask for. The grid keeps a few float64 arrays
 # of one entry per cell, so this caps them at a few hundred MB.
@@ -476,6 +488,28 @@ def canonicalize(k1: float, k2: float, gamma: float, gamma_min: float = 1.0):
     return k1, k2, gamma, False
 
 
+def _probe_starts(volts: np.ndarray, piece: int, cells: int) -> list:
+    """First samples of the whole pieces that the grid scores ahead of its sweep, in that order.
+
+    The whole pieces are ranked by their sum of squared measured volts, and
+    a piece within whole // _PROBES pieces of one taken is passed over. At
+    most whole // 4 pieces are taken, so that a trace of few pieces has
+    none, and at most _PROBES and _GRID_BLOCK_ELEMENTS // cells, so that
+    their stored sums take no more than one kernel call's scratch.
+    """
+    whole = volts.size // piece
+    head = volts[: whole * piece].reshape(whole, piece)
+    count = min(_PROBES, whole // 4, _GRID_BLOCK_ELEMENTS // cells)
+    gap = max(1, whole // _PROBES)
+    taken = []
+    for i in np.argsort(-np.einsum("ij,ij->i", head, head), kind="stable"):
+        if len(taken) == count:
+            break
+        if all(abs(i - j) >= gap for j in taken):
+            taken.append(i)
+    return [i * piece for i in taken]
+
+
 def _grid_cells(
     measured: Trace,
     tx: TransmitterSpec,
@@ -486,10 +520,11 @@ def _grid_cells(
     """Score the coarse (k1, k2, gamma) grid against a trace, pruned to search.refine_top.
 
     Returns one row (mse, k1, k2, gamma) per feasible cell kept (see the
-    module doc for the pieces, the kernel calls and the pruning), sorted by
-    MSE, ties broken by the smallest triple. Bhat = 0 gives Bhat^b = inf
-    and so exactly 0 V, the model's B -> 0 limit. A cell is left out where
-    channel._defined fails at its largest or its smallest positive B.
+    module doc for the pieces, the kernel calls, the candidates, the probes
+    and the sweep), sorted by MSE, ties broken by the smallest triple.
+    Bhat = 0 gives Bhat^b = inf and so exactly 0 V, the model's B -> 0
+    limit. A cell is left out where channel._defined fails at its largest
+    or its smallest positive B.
     """
     sens = sensor.sens
     k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
@@ -526,7 +561,12 @@ def _grid_cells(
             work = block_buf[: live.size * size].reshape(live.size, size)
             kin_mod._bhat(k_nodes, k_nodes, t, out=bhat, pairs=np.divmod(live, k), work=work)
         peak[live] = np.maximum(peak[live], bhat.max(axis=1))
-        low[live] = np.minimum(low[live], np.min(bhat, axis=1, initial=np.inf, where=bhat > 0.0))
+        row_low = bhat.min(axis=1)
+        zero = ~(row_low > 0.0)  # rows holding a 0 take their smallest positive Bhat
+        if zero.any():
+            rows = bhat if zero.all() else bhat[zero]
+            row_low[zero] = np.min(rows, axis=1, initial=np.inf, where=rows > 0.0)
+        low[live] = np.minimum(low[live], row_low)
         np.power(bhat, sens.b, out=bhat)
         whole = size // piece * piece  # samples in whole pieces
         g_of, row_of = np.nonzero(cells[:, live])
@@ -551,20 +591,28 @@ def _grid_cells(
             np.cumsum(run, axis=1, out=run)
             sums[g, live[rows]] = run[:, -1]
 
-    def add_trace(cells, sums, tau):
+    def add_trace(cells, sums, bound, probes=()):
         """Add the squared errors over the whole trace of the cells set in cells to sums.
 
-        Each add_pieces call spans as many whole pieces as bhat_buf holds
-        for the live pairs; after each, a cell whose running sum exceeds
-        tau is cleared from cells.
+        probes lists (first sample, piece sums) of the pieces already scored,
+        in time order: their sums are added where the sweep reaches them.
+        Each add_pieces call spans as many whole pieces as bhat_buf holds for
+        the live pairs, up to the next probe piece; after each, a cell whose
+        running sum plus the probe sums still ahead exceeds bound is cleared
+        from cells. The sweep ends once no cell is live.
         """
         start = 0
-        while start < n:
-            live = np.count_nonzero(cells.any(axis=0))  # >= 1: no cell scoring <= tau is cleared
-            stop = start + piece * (pairs // live)
-            add_pieces(times[start:stop], meas_v[start:stop], cells, sums)
-            cells &= ~(sums > tau)
-            start = stop
+        for i, (at, probe_sums) in enumerate([*probes, (n, None)]):
+            ahead = sum(p for _, p in probes[i:])  # 0 once no probe is ahead
+            while start < at and cells.any():
+                live = np.count_nonzero(cells.any(axis=0))
+                stop = min(start + piece * (pairs // live), at)
+                add_pieces(times[start:stop], meas_v[start:stop], cells, sums)
+                cells &= ~(sums + ahead > bound)
+                start = stop
+            if probe_sums is not None:
+                np.add(sums, probe_sums, out=sums, where=cells)
+                start = at + piece
 
     def defined():
         """The cells where channel._defined holds at their pair's peak and smallest positive Bhat so far."""
@@ -579,13 +627,22 @@ def _grid_cells(
         add_pieces(times[::stride], meas_v[::stride], alive, sub)
         candidates = np.zeros_like(alive)
         candidates.flat[np.argsort(sub, axis=None, kind="stable")[: 2 * top]] = True
-        candidate_sse = np.zeros_like(sse)
-        add_trace(candidates, candidate_sse, np.inf)
-        best = np.sort(candidate_sse[candidates & defined()])
+        add_trace(candidates, sse, np.inf)
+        best = np.sort(sse[candidates & defined()])
         tau = best[top - 1] * (1.0 + _PRUNE_SLACK) if best.size >= top else np.inf
-        alive = ~(sub > tau * (1.0 + _PRUNE_SLACK))
-        add_trace(alive, sse, tau)
-        ok = defined() & alive
+        bound = tau * (1.0 + _PRUNE_SLACK)
+        alive = ~(sub > bound)
+        scored = alive & ~candidates  # the candidates have their SSE already
+        probes = []
+        for at in _probe_starts(meas_v, piece, sse.size):
+            if not scored.any():
+                break
+            probe_sums = np.zeros_like(sse)
+            add_pieces(times[at : at + piece], meas_v[at : at + piece], scored, probe_sums)
+            probes.append((at, probe_sums))
+            scored &= ~(sum(p for _, p in probes) > bound)
+        add_trace(scored, sse, bound, sorted(probes, key=lambda probe: probe[0]))
+        ok = defined() & (scored | alive & candidates) & ~(sse > tau)
     scores = np.where(ok, sse / n, np.inf).T.reshape(k, k, g_nodes.size)
     flat = scores.ravel()
     feasible_idx = np.flatnonzero(flat < np.inf)
@@ -601,9 +658,10 @@ class _TraceFit:
 
     Set up once per fit: C0 is linear in gamma, so c0 is C0 at gamma = 1,
     and the caller checks the time array once. Both use
-    B = c0 gamma Bhat(k1, k2, t) from kinetics._bhat and a B^b, evaluated
-    once per point: LM asks for the Jacobian at the point of its last
-    residual, and that call reuses them. Any other point is evaluated
+    B = c0 gamma Bhat(k1, k2, t) from kinetics._bhat, a B^b, and the
+    exp(-k1 t) and exp(-k2 t) rows of Bhat, evaluated once per point: LM
+    asks for the Jacobian at the point of its last residual, and that call
+    reuses them. Any other point is evaluated
     afresh, and only the last point is held. The residual maps B to volts
     by channel._volts (NaN where the model is undefined). The Jacobian is
     dV/dtheta = -(V^2/G) a b B^(b-1) dB/dtheta, with G = ein rl / ro,
@@ -618,29 +676,31 @@ class _TraceFit:
         self.volts = measured.volts
         self.sensor = sensor
         self.c0 = channel_mod.initial_concentration(dataclasses.replace(tx, gamma=1.0), s)
-        self._last = None  # (p, B, a B^b) of the last point evaluated
+        self._last = None  # (p, B, a B^b, exp(-k1 t), exp(-k2 t)) of the last point
 
     def _model(self, p):
-        """B and a B^b at p."""
+        """B, a B^b, exp(-k1 t) and exp(-k2 t) at p."""
         if self._last is None or not np.array_equal(self._last[0], p):
-            b = kin_mod._bhat(p[:1], p[1:2], self.times, self.c0 * p[2])[0, 0]
+            exps = []
+            b = kin_mod._bhat(p[:1], p[1:2], self.times, self.c0 * p[2], exps=exps)[0, 0]
             sens = self.sensor.sens
             with np.errstate(divide="ignore", over="ignore"):
-                self._last = (np.array(p, dtype=float), b, sens.a * b**sens.b)
+                ab = sens.a * b**sens.b
+            self._last = (np.array(p, dtype=float), b, ab, exps[0][0], exps[1][0])
         return self._last[1:]
 
     def residual(self, p):
-        b, ab = self._model(p)
+        b, ab, _, _ = self._model(p)
         return channel_mod._volts(b, self.sensor, ab) - self.volts
 
     def jacobian(self, p):
-        b, ab = self._model(p)
+        b, ab, e1, e2 = self._model(p)
         sensor, sens = self.sensor, self.sensor.sens
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             denom = ab + (sens.c + sensor.rl / sensor.ro)
             volts = sensor.ein * sensor.rl / sensor.ro / denom
             dv_db = np.where(b > 0.0, -sens.b * volts * (ab / denom) / b, 0.0)
-        dk1, dk2 = kin_mod._bhat_rate_grad(p[0], p[1], self.times, self.c0 * p[2], b)
+        dk1, dk2 = kin_mod._bhat_rate_grad(p[0], p[1], self.times, self.c0 * p[2], b, e1, e2)
         jac = np.empty((b.size, 3))
         np.multiply(dv_db, dk1, out=jac[:, 0])
         np.multiply(dv_db, dk2, out=jac[:, 1])

@@ -67,7 +67,7 @@ def free_concentration(c0: float, kin: KineticsParams, t):
     return _match(c0 * np.exp(-kin.k1 * tt), t)
 
 
-def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None):
+def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None, exps=None):
     """B(t) of every rate pair (k1[i], k2[j]), unchecked; shape (k1.size, k2.size, t.size).
 
     k1 and k2 are 1-D arrays of rates, t a 1-D array of times; c0 scales
@@ -82,8 +82,9 @@ def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None):
     they use, so that its scratch grows with i.size, not with the number
     of rates. work, if given with pairs, is an array of that shape that
     receives the gathered exp(-k2[j] t) rows, so that no temporary of B's
-    size is allocated. _bhat_rate_grad gives the rate derivatives of one
-    pair.
+    size is allocated. exps, if given, is a list that receives the
+    exp(-k1 t) and exp(-k2 t) tables, one row per rate used.
+    _bhat_rate_grad gives the rate derivatives of one pair.
     """
     same = k2 is k1
     if pairs is not None:  # only the rate nodes that the pairs use
@@ -99,6 +100,8 @@ def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None):
     k2 = k1.T if same else np.asarray(k2, dtype=float)[None, :]
     e1 = np.exp(-k1 * t)
     e2 = e1 if same else np.exp(-k2.T * t)
+    if exps is not None:
+        exps[:] = e1, e2
     k1c0 = k1 * c0
     delta = k1 - k2
     confluent = np.abs(delta) < CONFLUENT_REL_TOL * np.maximum(k1, k2)
@@ -123,10 +126,11 @@ def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None):
     return b
 
 
-def _bhat_rate_grad(k1, k2, t, c0, b):
+def _bhat_rate_grad(k1, k2, t, c0, b, e1, e2):
     """(dB/dk1, dB/dk2) of the rate pair (k1, k2) at ascending times t, unchecked.
 
-    b is that pair's B, _bhat([k1], [k2], t, c0)[0, 0]. dB/dk2 is
+    b is that pair's B, _bhat([k1], [k2], t, c0)[0, 0], and e1 and e2 are
+    the exp(-k1 t) and exp(-k2 t) rows that _bhat took for it. dB/dk2 is
     (c0 k1 t e^{-k2 t} - B) / (k2 - k1), whose cancellation costs about
     2 eps / (delta t)^2 relative, delta = k1 - k2. Where |delta t| < 1e-2
     it is -c0 k1 t^2 e^{-k1 t} phi'(delta t) instead, phi(x) = expm1(x) / x,
@@ -141,8 +145,8 @@ def _bhat_rate_grad(k1, k2, t, c0, b):
     x = delta * head
     dphi = 0.5 + x * (1.0 / 3.0 + x * (1.0 / 8.0 + x * (1.0 / 30.0 + x / 144.0)))
     dk2 = np.empty_like(b)
-    dk2[:cut] = -k1c0 * head * head * np.exp(-k1 * head) * dphi
-    dk2[cut:] = (k1c0 * tail * np.exp(-k2 * tail) - b[cut:]) / -delta
+    dk2[:cut] = -k1c0 * head * head * e1[:cut] * dphi
+    dk2[cut:] = (k1c0 * tail * e2[cut:] - b[cut:]) / -delta
     return b * (1.0 / k1 - t) - dk2, dk2
 
 

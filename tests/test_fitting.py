@@ -486,6 +486,10 @@ _SMALL_GRID = SearchConfig(k_grid=5, gamma_grid=3)
 _TOP1 = SearchConfig(refine_top=1)
 # samples per time chunk of the default grid
 _CHUNK = fitting._GRID_BLOCK_ELEMENTS // _DEFAULT.k_grid**2
+# slow rates whose B still rises at the end of a 14 s trace
+_LATE_K = (0.1, 0.05)
+# rates whose pre-pass ranks cells that score at most tau outside its candidates
+_SWEPT_K = (1.0, 10.0)
 
 
 def _full(search):
@@ -519,6 +523,22 @@ _GRID_CASES = [
     # few live pairs: main-pass calls span many pieces, the last one short
     pytest.param(
         2.0, 0.5, 3.0, 1.0, 10.0, 20 * _CHUNK + 77, None, _TOP1, id="top1_short_last_piece"
+    ),
+    # probes: the most energy in the last whole piece, too few whole pieces
+    # for a probe and just enough for one, refine_top = 1, and probes that
+    # score cells which the tail's steep overflow then refuses
+    pytest.param(
+        *_LATE_K, 3.0, 1.0, 14.0, 8 * _CHUNK + 77, None, _DEFAULT, id="late_peak_probes"
+    ),
+    pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 3 * _CHUNK + 50, None, _DEFAULT, id="no_probes"),
+    pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 4 * _CHUNK, None, _DEFAULT, id="one_probe"),
+    pytest.param(2.0, 0.5, 3.0, 1.0, 10.0, 8 * _CHUNK + 5, None, _TOP1, id="top1_probes"),
+    pytest.param(
+        2.0, 0.5, 3.0, 1.0, 10.0, 20 * _CHUNK + 77, _STEEP, _DEFAULT, id="steep_probes"
+    ),
+    # the sweep, past the probes, scores kept cells
+    pytest.param(
+        *_SWEPT_K, 1.0, 1.0, 10.0, 5001, None, _DEFAULT, id="kept_beyond_candidates"
     ),
 ]
 
@@ -570,6 +590,13 @@ def test_pruned_grid_is_a_prefix_of_the_full_grid(
         _assert_pruned_prefix(pruned, full, keep)
         if n >= 1001 and search is _DEFAULT:
             assert len(pruned) < len(full) // 10  # the bound prunes
+        if (k1, k2) == _SWEPT_K and keep == 1:
+            assert len(pruned) > 2  # more kept cells than the pre-pass's 2 candidates
+    piece = fitting._GRID_BLOCK_ELEMENTS // search.k_grid**2
+    probes = fitting._probe_starts(trace.volts, piece, search.k_grid**2 * search.gamma_grid)
+    assert (len(probes) > 0) == (n // piece >= 4)
+    if (k1, k2) == _LATE_K:
+        assert probes[0] == 7 * _CHUNK  # the last whole piece
     # with refine_top at least the feasible cells, tau is inf or above every score
     exact = dataclasses.replace(search, refine_top=len(full))
     assert np.array_equal(fitting._grid_cells(trace, bench_tx, sensor, s, exact), full)
@@ -594,28 +621,41 @@ def test_pruned_grid_evaluates_under_two_fifths_of_bhat(bench_tx, bench_sensor, 
 def test_pruned_grid_scores_whole_pieces_per_kernel_call(bench_tx, bench_sensor, monkeypatch):
     # one kernel call per piece of _CHUNK samples made 158 calls of the
     # rate-node table here; a call now spans as many pieces as the live rate
-    # pairs fill. After the pre-pass, two passes cover the whole trace: the
-    # pre-pass candidates, then the live cells.
+    # pairs fill. After the pre-pass, the candidates cover the whole trace.
+    # Each probe scores one whole piece, and the sweep scores the other cells
+    # in time order, never over a probe piece, until none is live.
     n = 20001
-    trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, np.arange(n) * 0.0005)
+    times = np.arange(n) * 0.0005
+    trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, times)
     bhat = kinetics._bhat
-    sizes = []  # samples per call of the table, the pre-pass first
+    calls = []  # (first sample, samples) per call of the table, the pre-pass first
 
     def counted(k1, k2, t, *args, **kwargs):
         if np.size(k1) == _DEFAULT.k_grid:
-            sizes.append(np.size(t))
+            calls.append((int(np.searchsorted(times, t[0])), np.size(t)))
         return bhat(k1, k2, t, *args, **kwargs)
 
     monkeypatch.setattr(kinetics, "_bhat", counted)
     fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT)
-    assert len(sizes) <= 40
-    assert sizes[0] <= _CHUNK and sum(sizes[1:]) == 2 * n
-    ends = np.cumsum(sizes[1:])
-    candidates, main = np.split(sizes[1:], [np.searchsorted(ends, n) + 1])
-    for calls in (candidates, main):
-        assert sum(calls) == n
-        assert all(size % _CHUNK == 0 for size in calls[:-1])  # whole pieces,
-        assert calls[-1] > _CHUNK and calls[-1] % _CHUNK == n % _CHUNK  # then a short one
+    assert len(calls) <= 40
+    assert calls[0][0] == 0 and calls[0][1] <= _CHUNK
+    starts, sizes = np.array(calls[1:]).T
+    split = np.searchsorted(np.cumsum(sizes), n) + 1
+    assert sum(sizes[:split]) == n and starts[0] == 0
+    assert np.array_equal(starts[1:split], np.cumsum(sizes[: split - 1]))  # in time order,
+    assert all(size % _CHUNK == 0 for size in sizes[: split - 1])  # in whole pieces,
+    assert sizes[split - 1] > _CHUNK and sizes[split - 1] % _CHUNK == n % _CHUNK  # a short one
+    probes = fitting._probe_starts(trace.volts, _CHUNK, _DEFAULT.k_grid**2 * _DEFAULT.gamma_grid)
+    assert len(probes) == fitting._PROBES
+    assert calls[1 + split : 1 + split + len(probes)] == [(at, _CHUNK) for at in probes]
+    sweep = calls[1 + split + len(probes) :]
+    assert sweep and sweep[0][0] == 0
+    assert all(size % _CHUNK == 0 or at + size == n for at, size in sweep)
+    # sweep calls and the probe pieces before the sweep's end tile the trace up to there
+    end = sum(sweep[-1])
+    spans = sorted(sweep + [(at, _CHUNK) for at in probes if at < end])
+    assert [at for at, _ in spans] == [0] + list(np.cumsum([size for _, size in spans])[:-1])
+    assert sum(size for _, size in sweep) + len(probes) * _CHUNK < n
 
 
 @pytest.mark.parametrize(

@@ -166,7 +166,7 @@ def test_bhat_rate_derivative_across_its_two_forms():
     t = np.linspace(0.0, 20.0, 2001)
     for k1, k2 in ((2.0, 1.995), (2.0, 2.005), (0.5, 0.45)):
         b = kinetics._bhat([k1], [k2], t)[0, 0]
-        dk1, dk2 = kinetics._bhat_rate_grad(k1, k2, t, 1.0, b)
+        dk1, dk2 = kinetics._bhat_rate_grad(k1, k2, t, 1.0, b, np.exp(-k1 * t), np.exp(-k2 * t))
         x = (k1 - k2) * t
         band = (np.abs(x) >= 1e-5) & (np.abs(x) <= 1.0)
         assert (np.abs(x[band]) < 1e-2).any() and (np.abs(x[band]) > 1e-2).any()

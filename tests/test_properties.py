@@ -121,13 +121,15 @@ def test_channel_model_is_evaluated_afresh_at_a_new_point(p, q):
     sigma=st.sampled_from([0.0, 1e-3, 0.01, 0.05]),
     seed=st.integers(0, 2**32 - 1),
     refine_top=st.integers(1, 12),
+    n=st.sampled_from([TIMES.size, 1001, 2637]),  # no probe, one, and five
 )
-def test_pruned_grid_is_a_prefix_of_the_full_grid(k1, k2, gamma, s, sigma, seed, refine_top):
+def test_pruned_grid_is_a_prefix_of_the_full_grid(k1, k2, gamma, s, sigma, seed, refine_top, n):
     # C0 <= 0.027 kg/m^3 for gamma <= 10 at s >= 0.8 m: the truth is defined
+    times = np.linspace(0.0, 10.0, n)
     volts = response_voltages(
-        dataclasses.replace(TX, gamma=gamma), KineticsParams(k1, k2), SENSOR, s, TIMES
+        dataclasses.replace(TX, gamma=gamma), KineticsParams(k1, k2), SENSOR, s, times
     )
-    trace = Trace(TIMES, volts + np.random.default_rng(seed).normal(0.0, sigma, TIMES.size))
+    trace = Trace(times, volts + np.random.default_rng(seed).normal(0.0, sigma, n))
     search = fitting.SearchConfig(refine_top=refine_top)
     every_cell = dataclasses.replace(search, refine_top=search.k_grid**2 * search.gamma_grid)
     full = fitting._grid_cells(trace, TX, SENSOR, s, every_cell)
