@@ -180,15 +180,27 @@ def _defined(b, ratio):
 
 
 def _volts(b, sensor: SensorSpec, ab=None) -> np.ndarray:
-    """Volts at concentrations b by the sensor formulas, unchecked; NaN where not _defined.
+    """Volts at concentrations b (an array) by the sensor formulas, unchecked; NaN where not _defined.
 
-    ab, if given, is sens.a * b**sens.b, already computed.
+    ab, if given, is sens.a * b**sens.b, already computed; it is left as it
+    is. The volts are a new array. When every sample is defined (every
+    ratio f(B) > 0, and every infinite one at B = 0) they are computed in
+    the ratio's place and returned as they are.
     """
     sens = sensor.sens
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = (sens.a * b**sens.b if ab is None else ab) + sens.c
-        volts = sensor.ein * sensor.rl / (sensor.ro * (ratio + sensor.rl / sensor.ro))
-    return np.where(_defined(b, ratio), volts, math.nan)
+        if ab is None:
+            ab = b**sens.b
+            np.multiply(sens.a, ab, out=ab)
+        ratio = ab + sens.c
+        defined = np.min(ratio, initial=math.inf) > 0.0 and (
+            np.max(ratio, initial=0.0) < math.inf or not b[ratio == math.inf].any()
+        )
+        volts = ratio if defined else ratio.copy()
+        volts += sensor.rl / sensor.ro
+        np.multiply(sensor.ro, volts, out=volts)
+        np.divide(sensor.ein * sensor.rl, volts, out=volts)
+    return volts if defined else np.where(_defined(b, ratio), volts, math.nan)
 
 
 def response_voltages(
@@ -207,8 +219,8 @@ def response_voltages(
     alignment. Raises OutOfCalibrationError where the model is undefined
     at any sample (see the module doc).
     """
-    b = kin_mod.bound_concentration(initial_concentration(tx, s), kin, times)
-    volts = np.atleast_1d(_volts(b, sensor))
+    b = np.atleast_1d(kin_mod.bound_concentration(initial_concentration(tx, s), kin, times))
+    volts = _volts(b, sensor)
     if np.isnan(volts).any():
         raise OutOfCalibrationError(
             f"sensitivity f(B) is not finite and > 0 at every modeled concentration "

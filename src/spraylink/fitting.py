@@ -17,9 +17,10 @@ kernel, kinetics._bhat, gives Bhat for the grid, the LM residual and its
 Jacobian alike, and kinetics._bhat_rate_grad the rate derivatives of that
 Bhat. LM evaluates the model once per point: its Jacobian reuses the B of
 the residual at the same point, and the exp(-k1 t) and exp(-k2 t) rows
-behind it. Both stages mask where channel._defined fails: the grid at each
-rate pair's largest and smallest positive B, and LM through the NaN of
-channel._volts.
+behind it, and is written into an array that the fit owns, with no
+temporary of the trace's length. Both stages mask where channel._defined
+fails: the grid at each kept rate pair's largest and smallest positive B,
+and LM through the NaN of channel._volts.
 
 The grid's sensitivity is f(B) = a C0^b Bhat^b + c. It sums squared
 errors in pieces of L = _GRID_BLOCK_ELEMENTS / k_grid^2 samples. One
@@ -41,9 +42,10 @@ samples most likely to push a cell past the bound. A pre-pass scores every
 cell on the samples times[::ceil(n / L)], at most one piece. Its
 2 refine_top best cells, the candidates, are scored over the whole trace in
 whole-piece kernel calls, and their feasibility is judged from the Bhat
-ends those calls track. tau, the refine_top-th smallest feasible sum of
-squared errors (SSE) among them times 1 + _PRUNE_SLACK (inf with fewer),
-bounds the refine_top-th best SSE from above. With bound =
+ends those calls track; no other call tracks them. tau, the
+refine_top-th smallest feasible sum of squared errors (SSE) among them
+times 1 + _PRUNE_SLACK (inf with fewer), bounds the refine_top-th best
+SSE from above. With bound =
 tau (1 + _PRUNE_SLACK), a candidate is kept if its SSE is at most tau and
 its pre-pass SSE at most bound, and is not scored again. Any other cell is
 dropped once its pre-pass SSE exceeds bound. The rest are scored on the
@@ -53,8 +55,10 @@ cells in time order, in calls that stop before each probe piece, adds the
 stored probe sums where it reaches them, and drops a cell once its
 running SSE plus the probe sums still ahead exceeds bound; it ends once no
 cell is live, and a cell live to the end is kept only if it scores at most
-tau. Squared errors are >= 0, so a sum over a subset of the samples is at
-most the sum over all of them (the two round differently, by far less
+tau. A kept cell whose rate pair has no candidate cell is judged from one
+more pass over that pair's Bhat, in whole-piece calls, which give the same
+floats. Squared errors are >= 0, so a sum over a subset of the samples is
+at most the sum over all of them (the two round differently, by far less
 than the slack), and no cell that scores at most tau is dropped. Every
 kept SSE adds the same piece sums in time order as one call per piece
 would, so the kept cells, and their scores bit for bit, are a prefix of
@@ -168,8 +172,8 @@ class FitResult:
     residual and jacobian.
     termination says why the fit stopped: "gradient" or "step" (both
     converged), "max_iter", "no_descent" (no damping gave a lower cost) or
-    "abandoned" (the problem's abandon said so; mse, rmse and jac_condition
-    are NaN if no residual or Jacobian was evaluated). at_bound holds, per
+    "abandoned" (the problem's abandon said so; jac_condition is NaN, and
+    mse and rmse are NaN if no residual was evaluated). at_bound holds, per
     parameter, whether the final iterate lies on its lower or upper bound.
     """
 
@@ -327,6 +331,10 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
     ("abandoned"); the result keeps the evaluation counts and the last
     accepted point. Never raises for non-convergence. A non-finite residual
     at the initial guess is an input error.
+
+    J is read only until the next jacobian call, so the problem's jacobian
+    may return one array that it overwrites each call. Its residual must
+    return a new array each call: the accepted r is kept beside r_trial.
     """
     lo, hi = problem._bounds_arrays()
     residual_evals = jacobian_evals = 0
@@ -387,10 +395,9 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
                 termination = "abandoned"
                 break
             r_trial = residual(trial)
-            if np.all(np.isfinite(r_trial)):
-                cost_trial = 0.5 * float(r_trial @ r_trial)
-            else:
-                cost_trial = np.inf
+            cost_trial = 0.5 * float(r_trial @ r_trial)
+            if not math.isfinite(cost_trial):  # a NaN or inf residual, or overflow
+                cost_trial = math.inf
             if cost_trial < cost:
                 p, r, cost = trial, r_trial, cost_trial
                 lam = max(lam / 10.0, 1e-14)
@@ -400,7 +407,7 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
             lam *= 10.0
     mean_sq = math.nan if r is None else float(r @ r) / r.size
     try:
-        cond = math.nan if J is None else float(np.linalg.cond(J))
+        cond = math.nan if J is None or termination == "abandoned" else float(np.linalg.cond(J))
     except np.linalg.LinAlgError:
         cond = math.inf
     return FitResult(
@@ -544,15 +551,8 @@ def _grid_cells(
     sse = np.zeros((g_nodes.size, pairs))
     alive = np.ones(sse.shape, dtype=bool)
 
-    def add_pieces(t, meas, cells, sums):
-        """Add the squared errors at times t of the (gamma, pair) cells set in cells to sums.
-
-        t is whole pieces and at most one shorter last piece, and the live
-        pairs times t.size fit bhat_buf. Each piece is summed on its own, and
-        the piece sums are added to sums in time order, as one call per
-        piece would add them.
-        """
-        live = np.flatnonzero(cells.any(axis=0))
+    def table(t, live):
+        """Bhat of the rate pairs live at times t, one row each, in bhat_buf."""
         size = t.size
         bhat = bhat_buf[: live.size * size].reshape(live.size, size)
         if live.size == pairs:  # every pair: no gathers
@@ -560,6 +560,10 @@ def _grid_cells(
         else:
             work = block_buf[: live.size * size].reshape(live.size, size)
             kin_mod._bhat(k_nodes, k_nodes, t, out=bhat, pairs=np.divmod(live, k), work=work)
+        return bhat
+
+    def track(bhat, live):
+        """Fold the rows bhat of the pairs live into their peak and smallest positive Bhat."""
         peak[live] = np.maximum(peak[live], bhat.max(axis=1))
         row_low = bhat.min(axis=1)
         zero = ~(row_low > 0.0)  # rows holding a 0 take their smallest positive Bhat
@@ -567,6 +571,21 @@ def _grid_cells(
             rows = bhat if zero.all() else bhat[zero]
             row_low[zero] = np.min(rows, axis=1, initial=np.inf, where=rows > 0.0)
         low[live] = np.minimum(low[live], row_low)
+
+    def add_pieces(t, meas, cells, sums, tracked=False):
+        """Add the squared errors at times t of the (gamma, pair) cells set in cells to sums.
+
+        t is whole pieces and at most one shorter last piece, and the live
+        pairs times t.size fit bhat_buf. Each piece is summed on its own, and
+        the piece sums are added to sums in time order, as one call per
+        piece would add them. tracked also folds the live pairs' Bhat into
+        their range (see track).
+        """
+        live = np.flatnonzero(cells.any(axis=0))
+        size = t.size
+        bhat = table(t, live)
+        if tracked:
+            track(bhat, live)
         np.power(bhat, sens.b, out=bhat)
         whole = size // piece * piece  # samples in whole pieces
         g_of, row_of = np.nonzero(cells[:, live])
@@ -591,7 +610,7 @@ def _grid_cells(
             np.cumsum(run, axis=1, out=run)
             sums[g, live[rows]] = run[:, -1]
 
-    def add_trace(cells, sums, bound, probes=()):
+    def add_trace(cells, sums, bound, probes=(), tracked=False):
         """Add the squared errors over the whole trace of the cells set in cells to sums.
 
         probes lists (first sample, piece sums) of the pieces already scored,
@@ -599,7 +618,8 @@ def _grid_cells(
         Each add_pieces call spans as many whole pieces as bhat_buf holds for
         the live pairs, up to the next probe piece; after each, a cell whose
         running sum plus the probe sums still ahead exceeds bound is cleared
-        from cells. The sweep ends once no cell is live.
+        from cells. The sweep ends once no cell is live. tracked is passed
+        to add_pieces.
         """
         start = 0
         for i, (at, probe_sums) in enumerate([*probes, (n, None)]):
@@ -607,7 +627,7 @@ def _grid_cells(
             while start < at and cells.any():
                 live = np.count_nonzero(cells.any(axis=0))
                 stop = min(start + piece * (pairs // live), at)
-                add_pieces(times[start:stop], meas_v[start:stop], cells, sums)
+                add_pieces(times[start:stop], meas_v[start:stop], cells, sums, tracked)
                 cells &= ~(sums + ahead > bound)
                 start = stop
             if probe_sums is not None:
@@ -615,7 +635,7 @@ def _grid_cells(
                 start = at + piece
 
     def defined():
-        """The cells where channel._defined holds at their pair's peak and smallest positive Bhat so far."""
+        """The cells where channel._defined holds at their pair's peak and smallest positive Bhat as tracked."""
         # a pair with no positive Bhat has peak 0 and checks B = 0 at both ends
         ends = c0[:, None, None] * np.stack((peak, np.minimum(low, peak)), axis=-1)
         return channel_mod._defined(ends, sens.a * ends**sens.b + sens.c).all(axis=2)
@@ -627,7 +647,7 @@ def _grid_cells(
         add_pieces(times[::stride], meas_v[::stride], alive, sub)
         candidates = np.zeros_like(alive)
         candidates.flat[np.argsort(sub, axis=None, kind="stable")[: 2 * top]] = True
-        add_trace(candidates, sse, np.inf)
+        add_trace(candidates, sse, np.inf, tracked=True)
         best = np.sort(sse[candidates & defined()])
         tau = best[top - 1] * (1.0 + _PRUNE_SLACK) if best.size >= top else np.inf
         bound = tau * (1.0 + _PRUNE_SLACK)
@@ -642,7 +662,13 @@ def _grid_cells(
             probes.append((at, probe_sums))
             scored &= ~(sum(p for _, p in probes) > bound)
         add_trace(scored, sse, bound, sorted(probes, key=lambda probe: probe[0]))
-        ok = defined() & (scored | alive & candidates) & ~(sse > tau)
+        kept = (scored | alive & candidates) & ~(sse > tau)
+        late = np.flatnonzero(kept.any(axis=0) & ~candidates.any(axis=0))
+        if late.size:  # kept pairs with no candidate: their range over the whole trace
+            span = piece * (pairs // late.size)
+            for start in range(0, n, span):
+                track(table(times[start : start + span], late), late)
+        ok = defined() & kept
     scores = np.where(ok, sse / n, np.inf).T.reshape(k, k, g_nodes.size)
     flat = scores.ravel()
     feasible_idx = np.flatnonzero(flat < np.inf)
@@ -663,12 +689,16 @@ class _TraceFit:
     asks for the Jacobian at the point of its last residual, and that call
     reuses them. Any other point is evaluated
     afresh, and only the last point is held. The residual maps B to volts
-    by channel._volts (NaN where the model is undefined). The Jacobian is
+    by channel._volts (NaN where the model is undefined), and is a new
+    array each call, since LM keeps the accepted residual beside the trial
+    one. The Jacobian is
     dV/dtheta = -(V^2/G) a b B^(b-1) dB/dtheta, with G = ein rl / ro,
     dB/dk1 and dB/dk2 from kinetics._bhat_rate_grad and
     dB/dgamma = B / gamma, evaluated as -b V w (dB/dtheta) / B with
     w = a B^b / (f(B) + rl/ro) so that no factor overflows; it is 0 where
-    B = 0.
+    B = 0. It is written into one (n, 3) array that this object owns, by
+    way of three scratch rows, and so is overwritten by the next Jacobian
+    call: LM reads only its latest J.
     """
 
     def __init__(self, measured: Trace, tx: TransmitterSpec, sensor: SensorSpec, s: float):
@@ -677,31 +707,43 @@ class _TraceFit:
         self.sensor = sensor
         self.c0 = channel_mod.initial_concentration(dataclasses.replace(tx, gamma=1.0), s)
         self._last = None  # (p, B, a B^b, exp(-k1 t), exp(-k2 t)) of the last point
+        self._jac = np.empty((self.times.size, 3))
+        self._rows = np.empty((3, self.times.size))
 
     def _model(self, p):
         """B, a B^b, exp(-k1 t) and exp(-k2 t) at p."""
         if self._last is None or not np.array_equal(self._last[0], p):
+            self._last = None  # free the old point's rows before the new ones
             exps = []
             b = kin_mod._bhat(p[:1], p[1:2], self.times, self.c0 * p[2], exps=exps)[0, 0]
             sens = self.sensor.sens
             with np.errstate(divide="ignore", over="ignore"):
-                ab = sens.a * b**sens.b
+                ab = b**sens.b
+                np.multiply(sens.a, ab, out=ab)
             self._last = (np.array(p, dtype=float), b, ab, exps[0][0], exps[1][0])
         return self._last[1:]
 
     def residual(self, p):
         b, ab, _, _ = self._model(p)
-        return channel_mod._volts(b, self.sensor, ab) - self.volts
+        r = channel_mod._volts(b, self.sensor, ab)
+        r -= self.volts
+        return r
 
     def jacobian(self, p):
         b, ab, e1, e2 = self._model(p)
         sensor, sens = self.sensor, self.sensor.sens
+        work, dv_db, dk2 = self._rows
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            denom = ab + (sens.c + sensor.rl / sensor.ro)
-            volts = sensor.ein * sensor.rl / sensor.ro / denom
-            dv_db = np.where(b > 0.0, -sens.b * volts * (ab / denom) / b, 0.0)
-        dk1, dk2 = kin_mod._bhat_rate_grad(p[0], p[1], self.times, self.c0 * p[2], b, e1, e2)
-        jac = np.empty((b.size, 3))
+            denom = np.add(ab, sens.c + sensor.rl / sensor.ro, out=work)
+            volts = np.divide(sensor.ein * sensor.rl / sensor.ro, denom, out=dv_db)
+            np.multiply(-sens.b, volts, out=dv_db)
+            dv_db *= np.divide(ab, denom, out=work)
+            dv_db /= b
+        dv_db[~(b > 0.0)] = 0.0
+        dk1, dk2 = kin_mod._bhat_rate_grad(
+            p[0], p[1], self.times, self.c0 * p[2], b, e1, e2, out=(work, dk2)
+        )
+        jac = self._jac
         np.multiply(dv_db, dk1, out=jac[:, 0])
         np.multiply(dv_db, dk2, out=jac[:, 1])
         np.multiply(dv_db, b, out=jac[:, 2])

@@ -67,6 +67,12 @@ def free_concentration(c0: float, kin: KineticsParams, t):
     return _match(c0 * np.exp(-kin.k1 * tt), t)
 
 
+def _exp_rows(k, t):
+    """exp(-k t) for each rate of the column k, one row each, taken in place."""
+    rows = np.multiply(-k, t)
+    return np.exp(rows, out=rows)
+
+
 def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None, exps=None):
     """B(t) of every rate pair (k1[i], k2[j]), unchecked; shape (k1.size, k2.size, t.size).
 
@@ -98,8 +104,8 @@ def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None, exps=None):
         k2 = k1 if same else k2[used2]
     k1 = np.asarray(k1, dtype=float)[:, None]
     k2 = k1.T if same else np.asarray(k2, dtype=float)[None, :]
-    e1 = np.exp(-k1 * t)
-    e2 = e1 if same else np.exp(-k2.T * t)
+    e1 = _exp_rows(k1, t)
+    e2 = e1 if same else _exp_rows(k2.T, t)
     if exps is not None:
         exps[:] = e1, e2
     k1c0 = k1 * c0
@@ -126,28 +132,49 @@ def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None, exps=None):
     return b
 
 
-def _bhat_rate_grad(k1, k2, t, c0, b, e1, e2):
+def _bhat_rate_grad(k1, k2, t, c0, b, e1, e2, out):
     """(dB/dk1, dB/dk2) of the rate pair (k1, k2) at ascending times t, unchecked.
 
     b is that pair's B, _bhat([k1], [k2], t, c0)[0, 0], and e1 and e2 are
-    the exp(-k1 t) and exp(-k2 t) rows that _bhat took for it. dB/dk2 is
+    the exp(-k1 t) and exp(-k2 t) rows that _bhat took for it. out is a
+    pair of arrays shaped like b that receive dB/dk1 and dB/dk2, which are
+    returned; no other array of b's size is allocated. dB/dk2 is
     (c0 k1 t e^{-k2 t} - B) / (k2 - k1), whose cancellation costs about
     2 eps / (delta t)^2 relative, delta = k1 - k2. Where |delta t| < 1e-2
     it is -c0 k1 t^2 e^{-k1 t} phi'(delta t) instead, phi(x) = expm1(x) / x,
     with five terms of the series of phi' (exact to 3e-13 there). Times
-    ascend, so that is a prefix of them, and each form is evaluated only on
+    ascend, so that is a prefix of them, found by bisection on t and
+    settled by that test at its edge, and each form is evaluated only on
     its own samples. dB/dk1 follows from dB/dk1 + dB/dk2 = B (1/k1 - t).
     """
+    dk1, dk2 = out
     delta = k1 - k2
     k1c0 = k1 * c0
-    cut = int(np.searchsorted(abs(delta) * t, 1e-2))  # |delta t| grows with t
+    gap = abs(float(delta))
+    cut = int(np.searchsorted(t, 1e-2 / gap)) if gap > 0.0 else t.size
+    while cut > 0 and not gap * t[cut - 1] < 1e-2:  # |delta t| grows with t
+        cut -= 1
+    while cut < t.size and gap * t[cut] < 1e-2:
+        cut += 1
     head, tail = t[:cut], t[cut:]
-    x = delta * head
-    dphi = 0.5 + x * (1.0 / 3.0 + x * (1.0 / 8.0 + x * (1.0 / 30.0 + x / 144.0)))
-    dk2 = np.empty_like(b)
-    dk2[:cut] = -k1c0 * head * head * e1[:cut] * dphi
-    dk2[cut:] = (k1c0 * tail * e2[cut:] - b[cut:]) / -delta
-    return b * (1.0 / k1 - t) - dk2, dk2
+    x = np.multiply(delta, head, out=dk2[:cut])  # until dphi is done
+    dphi = np.divide(x, 144.0, out=dk1[:cut])  # 0.5 + x (1/3 + x (1/8 + x (1/30 + x/144)))
+    for coef in (1.0 / 30.0, 1.0 / 8.0, 1.0 / 3.0):
+        np.add(coef, dphi, out=dphi)
+        np.multiply(x, dphi, out=dphi)
+    np.add(0.5, dphi, out=dphi)
+    lead = np.multiply(-k1c0, head, out=dk2[:cut])
+    lead *= head
+    lead *= e1[:cut]
+    lead *= dphi
+    rest = np.multiply(k1c0, tail, out=dk2[cut:])
+    rest *= e2[cut:]
+    rest -= b[cut:]
+    rest /= -delta
+    np.subtract(1.0 / k1, t, out=dk1)
+    np.multiply(b, dk1, out=dk1)
+    dk1 -= dk2
+    return dk1, dk2
 
 
 def bound_concentration(c0: float, kin: KineticsParams, t):

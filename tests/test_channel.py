@@ -219,3 +219,42 @@ def test_volts_follow_the_sensor_composition(
     else:
         np.testing.assert_array_equal(response_voltages(bench_tx, kin, sensor, s, times), volts)
 
+
+# concentrations, kg/m^3: all defined; B = 0 among them (ratio inf there);
+# NaN rows and f(B) <= 0 (B above 0.042 for the MQ-3 curve) among defined
+# ones; a positive B whose B^-5 overflows under the steep curve; empty
+_DEFINED = np.geomspace(1e-6, 1e-2, 64)
+_VOLTS_CASES = [  # (b, sensitivity, every sample defined)
+    pytest.param(_DEFINED, None, True, id="all_defined"),
+    pytest.param(np.concatenate(([0.0, -0.0], _DEFINED, [0.0])), None, True, id="zero_b"),
+    pytest.param(np.concatenate(([0.0, np.nan], _DEFINED, [np.nan])), None, False, id="nan_rows"),
+    pytest.param(np.concatenate(([0.0], _DEFINED, [0.05, 1.0])), None, False, id="ratio_not_positive"),
+    pytest.param(np.concatenate(([0.0], _DEFINED, [1e-70])), _STEEP, False, id="ratio_overflow"),
+    pytest.param(np.empty(0), None, True, id="empty"),
+]
+
+
+@pytest.mark.parametrize("b, sens, fast", _VOLTS_CASES)
+def test_volts_equal_the_masked_composition_bit_for_bit(bench_sensor, monkeypatch, b, sens, fast):
+    # _volts returns its volts unmasked, without asking _defined, once every
+    # sample is defined; on any input that must be np.where(_defined, volts,
+    # nan), given ab or not
+    sensor = bench_sensor if sens is None else dataclasses.replace(bench_sensor, sens=sens)
+    a, p, c = sensor.sens.a, sensor.sens.b, sensor.sens.c
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ab = a * b**p
+        ratio = ab + c
+        volts = sensor.ein * sensor.rl / (sensor.ro * (ratio + sensor.rl / sensor.ro))
+    expected = np.where(channel._defined(b, ratio), volts, math.nan)
+    masked = []
+    defined = channel._defined
+    monkeypatch.setattr(channel, "_defined", lambda *args: masked.append(1) or defined(*args))
+    with np.errstate(invalid="ignore"):  # NaN rows: NaN ** p
+        for got in (channel._volts(b, sensor), channel._volts(b, sensor, ab.copy())):
+            assert got.shape == b.shape and got.tobytes() == expected.tobytes()
+    assert (not masked) == fast
+
+
+def test_response_voltages_on_no_times(bench_tx, bench_sensor):
+    volts = response_voltages(bench_tx, KineticsParams(2.0, 0.5), bench_sensor, 1.0, np.empty(0))
+    assert isinstance(volts, np.ndarray) and volts.shape == (0,)

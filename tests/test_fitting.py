@@ -243,6 +243,7 @@ def test_lm_abandons_before_it_evaluates_a_point():
     # the start was evaluated; the first trial step was not
     assert (result.residual_evals, result.jacobian_evals, result.iterations) == (1, 1, 0)
     assert result.params[0] == 0.0 and result.mse == 9.0
+    assert math.isnan(result.jac_condition)  # a J was taken, but its condition is not
 
     result = levenberg_marquardt(
         FitProblem(
@@ -540,6 +541,12 @@ _GRID_CASES = [
     pytest.param(
         *_SWEPT_K, 1.0, 1.0, 10.0, 5001, None, _DEFAULT, id="kept_beyond_candidates"
     ),
+    # the sweep keeps cells of rate pairs that have no candidate cell, and
+    # the steep curve's overflow refuses 7 of them: only a pass over those
+    # pairs' Bhat range over the whole trace sees it
+    pytest.param(
+        *_SWEPT_K, 1.0, 0.7, 10.0, 1001, _STEEP, _TOP1, id="kept_without_candidate_refused"
+    ),
 ]
 
 
@@ -785,6 +792,48 @@ def test_distinct_starts_lose_nothing_against_every_top_cell(bench_tx, bench_sen
         assert est.mse <= every * (1.0 + 1e-12), (s, est.mse, every)
         skipped += search.refine_top - len(fitting._distinct_starts(cells, search, lambda x0: True))
     assert skipped > 0  # the rule is exercised
+
+
+# (k1, k2, gamma) points: the truth, confluent, near-confluent (the series
+# head of dB/dk2 covers every sample), mirrored and far off
+_FIT_POINTS = [(2.0, 0.5, 3.0), (1.0, 1.0, 2.0), (1.0, 1.0 + 1e-7, 2.0), (0.5, 2.0, 12.0), (40.0, 0.06, 1.0)]
+
+
+def test_trace_fit_jacobian_buffers_hold_no_stale_point(bench_tx, bench_sensor):
+    # a _TraceFit writes every Jacobian into one array of its own and keeps
+    # the model of its last point; each J must still be a fresh object's, and
+    # each residual a new array that no later call changes
+    trace = _synthetic_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, s=1.0, sigma=0.01, seed=3)
+    fit = fitting._TraceFit(trace, bench_tx, bench_sensor, 1.0)
+
+    def fresh_jacobian(p):
+        return fitting._TraceFit(trace, bench_tx, bench_sensor, 1.0).jacobian(p).tobytes()
+
+    returned = []
+    for p, q in zip(_FIT_POINTS, _FIT_POINTS[1:] + _FIT_POINTS[:1]):
+        r = fit.residual(p)
+        returned.append((r, r.copy()))
+        again = fit.residual(p)
+        assert not np.shares_memory(r, again) and again.tobytes() == r.tobytes()
+        assert fit.jacobian(p).tobytes() == fresh_jacobian(p)  # from the held model
+        assert fit.jacobian(p).tobytes() == fresh_jacobian(p)  # asked again
+        assert fit.jacobian(q).tobytes() == fresh_jacobian(q)  # a point with no residual
+        r = fit.residual(q)
+        returned.append((r, r.copy()))
+        assert fit.jacobian(p).tobytes() == fresh_jacobian(p)  # back, after q's residual
+    for r, copy in returned:
+        assert r.tobytes() == copy.tobytes()
+    assert len({id(r) for r, _ in returned}) == len(returned)
+
+
+def test_fit_condition_is_that_of_a_fresh_jacobian(bench_tx, bench_sensor):
+    trace = _synthetic_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, s=1.0, sigma=0.01, seed=3)
+    fit = fitting._TraceFit(trace, bench_tx, bench_sensor, 1.0)
+    for x0 in _FIT_POINTS:
+        result = levenberg_marquardt(fit.problem(x0, SearchConfig()))
+        fresh = fitting._TraceFit(trace, bench_tx, bench_sensor, 1.0).jacobian(result.params)
+        assert result.jacobian_evals > 1 and result.termination != "abandoned"
+        assert result.jac_condition == float(np.linalg.cond(fresh))
 
 
 def test_fit_refines_each_basin_once(bench_tx, bench_sensor):
