@@ -64,7 +64,8 @@ def atomic_write_text(path, text: str) -> None:
 
     The file ends with the mode a plain open() would leave: an existing
     file keeps its mode, a new one gets 0o666 less the umask. An OSError
-    from creating the temp file names path, not the temp file.
+    from creating the temp file or from the rename names path, not the
+    temp file, which is gone by then.
     """
     path = os.fspath(path)
     directory, name = os.path.split(os.path.abspath(path))
@@ -78,7 +79,10 @@ def atomic_write_text(path, text: str) -> None:
             fh.write(text)
         with contextlib.suppress(FileNotFoundError):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -118,8 +122,8 @@ def _to_floats(fields, rows, width, path) -> np.ndarray:
         return np.array(values)
 
 
-def _skip_header(lines, header: str, path) -> None:
-    """Consume numbered lines up to and including the header, and check it."""
+def _skip_header(lines, header: str, path) -> int:
+    """Consume numbered lines up to and including the header, check it, return its number."""
     names = header.split(",")
     for line_no, line in lines:
         text = line.strip()
@@ -129,7 +133,7 @@ def _skip_header(lines, header: str, path) -> None:
             raise ParseError(
                 f"expected header '{header}', got {text!r}", path=path, line=line_no
             )
-        return
+        return line_no
     raise ParseError("missing header", path=path)
 
 
@@ -177,23 +181,63 @@ def _holds_separator_bytes(raw) -> bool:
         raw.seek(0)
 
 
-def _parse_bulk(fh, width: int):
+# numpy opens a name with one of these endings through a decompressor.
+_COMPRESSED_ENDINGS = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _bulk_name(path):
+    """The name under which numpy should read path, or None to read the handle.
+
+    An int file descriptor has no name, and numpy would decompress a name
+    with a compression ending. The name is made absolute so that numpy
+    cannot take it for a URL.
+    """
+    if isinstance(path, int):
+        return None
+    name = os.fsdecode(path)
+    if name.endswith(_COMPRESSED_ENDINGS):
+        return None
+    return name if os.path.isabs(name) else os.path.join(os.getcwd(), name)
+
+
+def _names_open_file(name, fh) -> bool:
+    """Whether name still leads to fh's file, at fh's size and modification time."""
+    try:
+        named = os.stat(name)
+    except OSError:
+        return False
+    opened = os.fstat(fh.fileno())
+    return all(
+        getattr(named, key) == getattr(opened, key)
+        for key in ("st_dev", "st_ino", "st_size", "st_mtime_ns")
+    )
+
+
+def _parse_bulk(fh, path, header_line: int, width: int):
     """Parse the data lines after the header with numpy's C reader, or return None.
 
-    None means the reader refused the text, and _parse_lines decides it.
-    For text without the bytes 0x1c-0x1f, whatever the reader accepts with
-    `width` columns, _parse_lines accepts with the same values: both convert
-    each field with the routine behind float(), and both skip empty lines.
+    fh is just past the header, which ends line `header_line`. The reader
+    reads path by name when _bulk_name gives one, and the result stands
+    only if that name still leads to fh's file. None means the reader
+    refused the text or the name, and _parse_lines decides it. For text
+    without the bytes 0x1c-0x1f, whatever the reader accepts with `width`
+    columns, _parse_lines accepts with the same values: both convert each
+    field with the routine behind float(), and both skip empty lines.
     Whitespace-only and '#' lines, inline comments, and tokens such as '1_0'
     that float() takes and the reader does not, make the reader refuse; so
     does a file without data rows.
     """
+    name = _bulk_name(path)
+    source, skiprows = (fh, 0) if name is None else (name, header_line)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on input without rows
-            data = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
-    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            data = np.loadtxt(source, delimiter=",", comments=None, dtype=float, ndmin=2,
+                              skiprows=skiprows, encoding="utf-8-sig")
+    except (ValueError, OSError, Warning):  # UnicodeDecodeError is a ValueError
         return None
+    if name is not None and not _names_open_file(name, fh):
+        return None  # the name leads to another file now
     return data if data.shape[1] == width else None
 
 
@@ -208,11 +252,19 @@ def read_columns(path, header: str) -> tuple[np.ndarray, ...]:
     violation, and text that is not UTF-8, raises ParseError with the path
     and, where it applies, the 1-based line number.
 
-    The rows are parsed in bulk by numpy's C reader. A file that reader
-    refuses, or that holds one of the bytes 0x1c-0x1f, is read again from
-    the start, line by line, under the same rules; the result, or the
-    error, does not depend on which of the two parsed it. A stream that
-    cannot seek, such as a pipe, is read line by line at once.
+    The open handle is scanned for the bytes 0x1c-0x1f and its header is
+    checked. The rows are then parsed in bulk by numpy's C reader: from
+    the file's name (str, bytes or PathLike), after the header's lines,
+    because numpy reads a file it opens by name in large chunks but
+    iterates a file object one line at a time, which is slower. The
+    result is kept only if the name still leads to the handle's file,
+    unchanged in size and modification time, so the file parsed is the one
+    checked. An int file descriptor, and a name numpy would decompress,
+    are parsed from the handle. A file the C reader refuses, or that holds
+    one of the bytes 0x1c-0x1f, is read again from the start of the
+    handle, line by line, under the same rules; the result, or the error,
+    does not depend on which of the two parsed it. A stream that cannot
+    seek, such as a pipe, is read line by line at once.
     """
     width = len(header.split(","))
     try:
@@ -220,8 +272,8 @@ def read_columns(path, header: str) -> tuple[np.ndarray, ...]:
             data = None
             # the scan reads fh's bytes before fh decodes any, then rewinds
             if fh.seekable() and not _holds_separator_bytes(fh.buffer):
-                _skip_header(enumerate(fh, start=1), header, path)
-                data = _parse_bulk(fh, width)
+                header_line = _skip_header(enumerate(fh, start=1), header, path)
+                data = _parse_bulk(fh, path, header_line, width)
                 fh.seek(0)  # for the loop, if the bulk reader refused
             if data is None:
                 lines = enumerate(fh, start=1)

@@ -144,6 +144,18 @@ def test_estimate_residuals_output(tmp_path):
     assert float(np.max(np.abs(resid.volts))) < 1e-5
 
 
+@pytest.mark.parametrize("flag", ["--out", "--residuals"])
+def test_estimate_output_onto_a_directory_names_the_directory(tmp_path, capsys, flag):
+    trace_path = tmp_path / "trace.csv"
+    run(["simulate", "--k1", 2, "--k2", 0.5, "--gamma", 3, "--s", 1.0, "--out", trace_path])
+    (tmp_path / "probe").mkdir()
+    capsys.readouterr()
+    assert run(["estimate", trace_path, "--s", 1.0, flag, tmp_path / "probe"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path / 'probe'}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["probe", "trace.csv"]
+
+
 def test_fit_sensitivity_bundled(capsys):
     assert run(["fit-sensitivity"]) == EXIT_OK
     out = capsys.readouterr().out

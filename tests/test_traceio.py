@@ -3,6 +3,7 @@
 import os
 import stat
 import tempfile
+import urllib.request
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spraylink import traceio
 from spraylink.calibration import load_mass_measurements
 from spraylink.errors import NoSignalError, ParseError, ValidationError
 from spraylink.sensor import load_sensitivity_table
@@ -354,6 +356,87 @@ def test_unseekable_stream_is_read_line_by_line(tmp_path):
         assert a.size == b.size == rows
 
 
+def assert_bits_equal(got, want):
+    assert len(got) == len(want)
+    for column, expected in zip(got, want):
+        assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
+
+
+def _spy_on_loadtxt(monkeypatch, before=lambda source: None):
+    """Record each source that traceio hands np.loadtxt, calling before(source) first."""
+    seen, real = [], np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        seen.append(source)
+        before(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(traceio.np, "loadtxt", spy)
+    return seen
+
+
+def test_every_kind_of_path_reads_the_same_rows(tmp_path, monkeypatch):
+    text = "# capture\na,b\n" + "".join(f"{i},{i * 0.25!r}\n" for i in range(2000))
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    want = oracle_read_columns(path, "a,b")
+    with monkeypatch.context() as m:
+        seen = _spy_on_loadtxt(m)
+        m.setattr(traceio, "_parse_lines", lambda *args: pytest.fail("bulk result dropped"))
+        for source in (str(path), os.fsencode(path), path):
+            seen.clear()
+            assert_bits_equal(read_columns(source, "a,b"), want)
+            # by name, numpy reads in chunks; a handle it reads line by line
+            assert [type(s) for s in seen] == [str]
+        seen.clear()
+        assert_bits_equal(read_columns(os.open(path, os.O_RDONLY), "a,b"), want)  # closes it
+        assert len(seen) == 1 and not isinstance(seen[0], str)
+
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    try:
+        assert_bits_equal(read_columns(f"/dev/fd/{read_end}", "a,b"), want)
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.parametrize("change", ["replaced", "removed"])
+def test_a_path_changed_during_the_parse_is_read_from_the_checked_handle(
+    tmp_path, monkeypatch, change
+):
+    path = tmp_path / "in.csv"
+    path.write_text("a,b\n" + "".join(f"{i},{i * 0.5!r}\n" for i in range(300)))
+    want = oracle_read_columns(path, "a,b")
+
+    def change_path(source):
+        if change == "replaced":
+            (tmp_path / "other.csv").write_text("a,b\n7,8\n9,10\n")
+            os.replace(tmp_path / "other.csv", path)
+        else:
+            path.unlink()
+
+    seen = _spy_on_loadtxt(monkeypatch, before=change_path)
+    assert_bits_equal(read_columns(path, "a,b"), want)
+    assert [type(s) for s in seen] == [str]
+    assert path.exists() == (change == "replaced")
+
+
+def _no_urlopen(*args, **kwargs):
+    raise AssertionError("urlopen called")
+
+
+@pytest.mark.parametrize(
+    "name", ["in.csv.gz", "in.csv.bz2", "in.csv.xz", "in.csv.lzma", "http://host/in.csv"]
+)
+def test_names_numpy_would_decompress_or_fetch_read_as_plain_files(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(urllib.request, "urlopen", _no_urlopen)
+    (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / name).write_text("a,b\n" + "".join(f"{i},{-i}\n" for i in range(50)))
+    assert_same_as_oracle(name, "a,b")
+
+
 def test_store_trace_text_is_the_per_row_format(tmp_path):
     rng = np.random.default_rng(3)
     times = np.concatenate(([-0.0, 5e-324, 0.1], np.sort(rng.uniform(1.0, 2.0, 500)),
@@ -490,6 +573,17 @@ def test_write_into_missing_directory_names_the_target(tmp_path):
         atomic_write_text(target, "{}\n")
     assert err.value.filename == str(target)
     assert str(target) in str(err.value) and ".tmp" not in str(err.value)
+
+
+def test_write_over_a_directory_names_the_target(tmp_path):
+    target = tmp_path / "probe"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        atomic_write_text(target, "{}\n")
+    assert err.value.filename == str(target) and err.value.filename2 is None
+    assert ".tmp" not in str(err.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["probe"]
+    assert list(target.iterdir()) == []
 
 
 def test_range_errors_print_plain_floats():
