@@ -130,17 +130,7 @@ def _cmd_simulate(cfg, args) -> int:
 
 
 def _cmd_estimate(cfg, args) -> int:
-    raw = traceio.load_trace(args.trace)
-    if args.t0 == "auto":
-        t0 = "auto"
-    else:
-        try:
-            t0 = float(args.t0)
-        except ValueError:
-            raise ValidationError(
-                f"--t0 must be a time in seconds or 'auto', got {args.t0!r}"
-            ) from None
-    prepared = traceio.preprocess(raw, t0=t0)
+    prepared = traceio.preprocess(traceio.load_trace(args.trace), t0=args.t0)
     est = fitting.estimate_channel_params(
         prepared, cfg.transmitter, cfg.sensor, args.s, cfg.search
     )
@@ -207,7 +197,10 @@ def _json_number(data, key, default=None):
     value = data[key] if default is None else data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int literal beyond float's range
+        raise ValueError(f"{key} must be a number in float range") from None
 
 
 def _json_bool(data, key, default):
@@ -227,7 +220,7 @@ def _cmd_trend(cfg, args) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except ValueError as exc:  # bad JSON or UTF-8, or an int of too many digits
                 raise ParseError(f"bad JSON: {exc}", path=path) from exc
         try:
             est = fitting.ChannelEstimate(

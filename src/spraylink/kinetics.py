@@ -143,19 +143,14 @@ def _bhat_rate_grad(k1, k2, t, c0, b, e1, e2, out):
     2 eps / (delta t)^2 relative, delta = k1 - k2. Where |delta t| < 1e-2
     it is -c0 k1 t^2 e^{-k1 t} phi'(delta t) instead, phi(x) = expm1(x) / x,
     with five terms of the series of phi' (exact to 3e-13 there). Times
-    ascend, so that is a prefix of them, found by bisection on t and
-    settled by that test at its edge, and each form is evaluated only on
-    its own samples. dB/dk1 follows from dB/dk1 + dB/dk2 = B (1/k1 - t).
+    ascend, so |delta| t never decreases and that is a prefix of them,
+    found by a binary search of |delta| t, and each form is evaluated only
+    on its own samples. dB/dk1 follows from dB/dk1 + dB/dk2 = B (1/k1 - t).
     """
     dk1, dk2 = out
     delta = k1 - k2
     k1c0 = k1 * c0
-    gap = abs(float(delta))
-    cut = int(np.searchsorted(t, 1e-2 / gap)) if gap > 0.0 else t.size
-    while cut > 0 and not gap * t[cut - 1] < 1e-2:  # |delta t| grows with t
-        cut -= 1
-    while cut < t.size and gap * t[cut] < 1e-2:
-        cut += 1
+    cut = int(np.searchsorted(np.multiply(abs(delta), t, out=dk2), 1e-2))
     head, tail = t[:cut], t[cut:]
     x = np.multiply(delta, head, out=dk2[:cut])  # until dphi is done
     dphi = np.divide(x, 144.0, out=dk1[:cut])  # 0.5 + x (1/3 + x (1/8 + x (1/30 + x/144)))

@@ -186,7 +186,7 @@ _COMPRESSED_ENDINGS = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _bulk_name(path):
-    """The name under which numpy should read path, or None to read the handle.
+    """The absolute name under which numpy should read path, or None for the line loop.
 
     An int file descriptor has no name, and numpy would decompress a name
     with a compression ending. The name is made absolute so that numpy
@@ -213,30 +213,28 @@ def _names_open_file(name, fh) -> bool:
     )
 
 
-def _parse_bulk(fh, path, header_line: int, width: int):
+def _parse_bulk(fh, name, header_line: int, width: int):
     """Parse the data lines after the header with numpy's C reader, or return None.
 
     fh is just past the header, which ends line `header_line`. The reader
-    reads path by name when _bulk_name gives one, and the result stands
-    only if that name still leads to fh's file. None means the reader
-    refused the text or the name, and _parse_lines decides it. For text
-    without the bytes 0x1c-0x1f, whatever the reader accepts with `width`
-    columns, _parse_lines accepts with the same values: both convert each
-    field with the routine behind float(), and both skip empty lines.
+    reads the file by its absolute name, and the result stands only if
+    that name still leads to fh's file. None means the reader refused the
+    text or the name, and _parse_lines decides it. For text without the
+    bytes 0x1c-0x1f, whatever the reader accepts with `width` columns,
+    _parse_lines accepts with the same values: both convert each field
+    with the routine behind float(), and both skip empty lines.
     Whitespace-only and '#' lines, inline comments, and tokens such as '1_0'
     that float() takes and the reader does not, make the reader refuse; so
     does a file without data rows.
     """
-    name = _bulk_name(path)
-    source, skiprows = (fh, 0) if name is None else (name, header_line)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on input without rows
-            data = np.loadtxt(source, delimiter=",", comments=None, dtype=float, ndmin=2,
-                              skiprows=skiprows, encoding="utf-8-sig")
+            data = np.loadtxt(name, delimiter=",", comments=None, dtype=float, ndmin=2,
+                              skiprows=header_line, encoding="utf-8-sig")
     except (ValueError, OSError, Warning):  # UnicodeDecodeError is a ValueError
         return None
-    if name is not None and not _names_open_file(name, fh):
+    if not _names_open_file(name, fh):
         return None  # the name leads to another file now
     return data if data.shape[1] == width else None
 
@@ -252,28 +250,29 @@ def read_columns(path, header: str) -> tuple[np.ndarray, ...]:
     violation, and text that is not UTF-8, raises ParseError with the path
     and, where it applies, the 1-based line number.
 
-    The open handle is scanned for the bytes 0x1c-0x1f and its header is
-    checked. The rows are then parsed in bulk by numpy's C reader: from
-    the file's name (str, bytes or PathLike), after the header's lines,
-    because numpy reads a file it opens by name in large chunks but
-    iterates a file object one line at a time, which is slower. The
-    result is kept only if the name still leads to the handle's file,
-    unchanged in size and modification time, so the file parsed is the one
-    checked. An int file descriptor, and a name numpy would decompress,
-    are parsed from the handle. A file the C reader refuses, or that holds
-    one of the bytes 0x1c-0x1f, is read again from the start of the
-    handle, line by line, under the same rules; the result, or the error,
-    does not depend on which of the two parsed it. A stream that cannot
-    seek, such as a pipe, is read line by line at once.
+    The rows are parsed in bulk by numpy's C reader from the file's
+    absolute name (str, bytes or PathLike), after the header's lines:
+    numpy reads a file it opens by name in chunks, but a file object one
+    line at a time. The result is kept only if the name still leads to the
+    open handle's file, unchanged in size and modification time, so that
+    the file parsed is the one whose header was checked. The line loop,
+    which defines the rules, reads the handle instead for: an int file
+    descriptor; a name ending .gz, .bz2, .xz or .lzma, which numpy would
+    decompress; a stream that cannot seek, such as a pipe; a file holding
+    one of the bytes 0x1c-0x1f; and, from the start again, a file the C
+    reader refuses (every file that breaks a rule among them) or whose
+    name no longer leads to the handle's file. The result, or the error,
+    does not depend on which of the two parsed it.
     """
     width = len(header.split(","))
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             data = None
+            name = _bulk_name(path)
             # the scan reads fh's bytes before fh decodes any, then rewinds
-            if fh.seekable() and not _holds_separator_bytes(fh.buffer):
+            if name is not None and fh.seekable() and not _holds_separator_bytes(fh.buffer):
                 header_line = _skip_header(enumerate(fh, start=1), header, path)
-                data = _parse_bulk(fh, path, header_line, width)
+                data = _parse_bulk(fh, name, header_line, width)
                 fh.seek(0)  # for the loop, if the bulk reader refused
             if data is None:
                 lines = enumerate(fh, start=1)
@@ -314,7 +313,8 @@ def detect_onset(trace: Trace) -> float:
 def preprocess(raw: Trace, t0="auto", noise_floor: float = DEFAULT_NOISE_FLOOR_V) -> Trace:
     """Align a raw trace to its start time and remove the offset voltage.
 
-    t0 may be a time in seconds or "auto" (onset detection). The output
+    t0 may be a time in seconds (a number, or its text) or "auto" (onset
+    detection); anything else raises ValidationError. The output
     time axis is raw time minus t0, truncated to t >= 0, and the voltage at
     t0 (interpolated when t0 falls between samples) is subtracted from
     every sample, so the result starts at (0, 0). Negative dips after
@@ -326,7 +326,10 @@ def preprocess(raw: Trace, t0="auto", noise_floor: float = DEFAULT_NOISE_FLOOR_V
     if t0 == "auto":
         t0 = detect_onset(raw)
     else:
-        t0 = float(t0)
+        try:
+            t0 = float(t0)
+        except (TypeError, ValueError):
+            raise ValidationError(f"t0 must be a time in seconds or 'auto', got {t0!r}") from None
         if not (raw.times[0] <= t0 <= raw.times[-1]):
             raise ValidationError(
                 f"t0 = {t0!r} outside trace span "

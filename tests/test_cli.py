@@ -1,9 +1,13 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import configparser
 import contextlib
+import functools
 import io
 import json
+import math
 import os
+import pathlib
 import tempfile
 import warnings
 
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_traceio import csv_texts
 
-from spraylink import fitting
+from spraylink import config, fitting
 from spraylink.cli import (
     EXIT_IO,
     EXIT_LOW_CONFIDENCE,
@@ -339,6 +343,67 @@ def test_config_invalid_value(tmp_path, capsys):
                 "--out", out]) == EXIT_VALIDATION
 
 
+def _readme_ini():
+    """README's INI block, which lists every config key at its default value."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    return readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+# (section, key): (a valid value unlike every other one, the field it sets, its value there)
+CONFIG_KEY_VALUES = {
+    ("transmitter", "q_m3_per_s"): ("2.5e-6", "transmitter.q", 2.5e-6),
+    ("transmitter", "te_s"): ("0.75", "transmitter.te", 0.75),
+    ("transmitter", "rho_d_kg_per_m3"): ("800", "transmitter.rho_d", 800.0),
+    ("transmitter", "theta_deg"): ("40", "transmitter.theta", math.radians(40.0)),
+    ("transmitter", "gamma"): ("1.5", "transmitter.gamma", 1.5),
+    ("sensor", "ein_v"): ("4.5", "sensor.ein", 4.5),
+    ("sensor", "rl_ohm"): ("1100", "sensor.rl", 1100.0),
+    ("sensor", "ro_ohm"): ("25000", "sensor.ro", 25000.0),
+    ("sensor", "a"): ("0.0117", "sensor.sens.a", 0.0117),
+    ("sensor", "b"): ("-0.59", "sensor.sens.b", -0.59),
+    ("sensor", "c"): ("-0.074", "sensor.sens.c", -0.074),
+    ("search", "k_min"): ("0.06", "search.k_min", 0.06),
+    ("search", "k_max"): ("49", "search.k_max", 49.0),
+    ("search", "gamma_min"): ("1.25", "search.gamma_min", 1.25),
+    ("search", "gamma_max"): ("24", "search.gamma_max", 24.0),
+    ("search", "k_grid"): ("15", "search.k_grid", 15),
+    ("search", "gamma_grid"): ("7", "search.gamma_grid", 7),
+    ("search", "refine_top"): ("4", "search.refine_top", 4),
+    ("search", "mse_threshold"): ("0.022", "search.mse_threshold", 0.022),
+    ("search", "flat_floor_v"): ("0.002", "search.flat_floor_v", 0.002),
+}
+
+
+def test_every_readme_config_key_reaches_its_field(tmp_path):
+    readme = configparser.ConfigParser()
+    readme.read_string(_readme_ini())
+    keys = [(section, key) for section in readme.sections() for key in readme[section]]
+    assert sorted(keys) == sorted(CONFIG_KEY_VALUES)
+    assert sorted((section, key) for section, key, *_ in config._KEYS) == sorted(keys)
+    values = [raw for raw, _, _ in CONFIG_KEY_VALUES.values()]
+    assert len(set(values)) == len(values)
+    ini = configparser.ConfigParser()
+    for (section, key), (raw, _, _) in CONFIG_KEY_VALUES.items():
+        ini.read_dict({section: {key: raw}})
+    with open(tmp_path / "all.ini", "w") as fh:
+        ini.write(fh)
+    cfg = config.load_config(tmp_path / "all.ini")
+    for key, (_, field, want) in CONFIG_KEY_VALUES.items():
+        got = functools.reduce(getattr, field.split("."), cfg)
+        assert got == want != functools.reduce(getattr, field.split("."), config.DEFAULT_CONFIG), key
+
+
+def test_no_config_an_empty_one_and_one_of_defaults_load_equal(tmp_path, monkeypatch):
+    monkeypatch.delenv("SPRAYLINK_CONFIG", raising=False)
+    (tmp_path / "empty.ini").write_text("")
+    (tmp_path / "defaults.ini").write_text(_readme_ini())
+    assert (
+        config.load_config()
+        == config.load_config(tmp_path / "empty.ini")
+        == config.load_config(tmp_path / "defaults.ini")
+    )
+
+
 
 # name: (files to create, argv, exit code); a None file is a directory
 HOSTILE_INPUTS = {
@@ -363,6 +428,12 @@ HOSTILE_INPUTS = {
         {"est/e.json": b'{"s": 1.0, "k1": "\xff"}'}, ["trend", "est", "--out", "out.csv"], EXIT_IO),
     "estimate_boolean_distance": (
         {"est/e.json": b'{"s": true, "k1": 2.0, "k2": 0.5, "gamma": 3.0, "mse": 1e-6}'},
+        ["trend", "est", "--out", "out.csv"], EXIT_IO),
+    "estimate_huge_integer": (
+        {"est/e.json": b'{"s": 1.0, "k1": 1' + b"0" * 400 + b', "k2": 0.5, "gamma": 3.0}'},
+        ["trend", "est", "--out", "out.csv"], EXIT_IO),
+    "estimate_integer_of_too_many_digits": (
+        {"est/e.json": b'{"s": 1.0, "k1": 1' + b"0" * 5000 + b', "k2": 0.5, "gamma": 3.0}'},
         ["trend", "est", "--out", "out.csv"], EXIT_IO),
     "estimate_canonical_string": (
         {"est/e.json": b'{"s": 1.0, "k1": 2.0, "k2": 0.5, "gamma": 3.0, "mse": 1e-6, '
@@ -393,6 +464,9 @@ HOSTILE_INPUTS = {
     "estimate_t0_nan": (
         {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n0.3,0.05\n"},
         ["estimate", "t.csv", "--s", "1", "--t0", "nan"], EXIT_VALIDATION),
+    "estimate_t0_text": (
+        {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n0.3,0.05\n"},
+        ["estimate", "t.csv", "--s", "1", "--t0", "abc"], EXIT_VALIDATION),
     "estimate_t0_after_trace": (
         {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n0.3,0.05\n"},
         ["estimate", "t.csv", "--s", "1", "--t0", "5"], EXIT_VALIDATION),
