@@ -193,8 +193,8 @@ def _volts(b, sensor: SensorSpec, ab=None) -> np.ndarray:
             ab = b**sens.b
             np.multiply(sens.a, ab, out=ab)
         ratio = ab + sens.c
-        defined = np.min(ratio, initial=math.inf) > 0.0 and (
-            np.max(ratio, initial=0.0) < math.inf or not b[ratio == math.inf].any()
+        defined = ratio.min(initial=math.inf) > 0.0 and (
+            ratio.max(initial=0.0) < math.inf or not b[ratio == math.inf].any()
         )
         volts = ratio if defined else ratio.copy()
         volts += sensor.rl / sensor.ro

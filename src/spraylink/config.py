@@ -3,7 +3,8 @@
 Every section and key is optional; anything missing keeps its value in
 DEFAULT_CONFIG, the bench parameter set. README's "Configuration" section
 lists every key with its default. Angles are degrees in the file and
-radians everywhere else. Keys this module does not read are ignored. A
+radians everywhere else. A key that a known section does not list raises
+ValidationError; other sections and [DEFAULT] keys are not checked. A
 missing file, or one that is not UTF-8 INI text, raises ParseError.
 
 The SPRAYLINK_CONFIG environment variable supplies a default path when the
@@ -92,6 +93,13 @@ def load_config(path=None) -> RunConfig:
 
 
 def _from_parser(parser) -> RunConfig:
+    known = {(section, key) for section, key, _, _ in _KEYS}
+    sections = {section for section, _ in known}
+    for section in parser.sections():
+        for key in parser.options(section):
+            # [DEFAULT] keys reach every section, and may serve only interpolation
+            if section in sections and (section, key) not in known and key not in parser.defaults():
+                raise ValidationError(f"[{section}] {key} is not a known key")
     values = {}  # field -> value, for each key the file sets
     for section, key, name, parse in _KEYS:
         if parser.has_option(section, key):

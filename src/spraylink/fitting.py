@@ -12,13 +12,14 @@ Jacobian J (the MINPACK lmder pattern). The two adapters are:
   refined from distinct starts among the best grid cells.
 
 Both stages factorise the model: B = C0(gamma) * Bhat(k1, k2, t) with
-Bhat the adhered concentration for C0 = 1, and C0 linear in gamma. One
-kernel, kinetics._bhat, gives Bhat for the grid, the LM residual and its
-Jacobian alike, and kinetics._bhat_rate_grad the rate derivatives of that
+Bhat the adhered concentration for C0 = 1, and C0 linear in gamma. The
+grid takes Bhat from kinetics._bhat, a table kernel over rate pairs, and LM
+from kinetics._pair_bhat, the same operations for one pair, into rows that
+the fit owns; kinetics._bhat_rate_grad gives the rate derivatives of that
 Bhat. LM evaluates the model once per point: its Jacobian reuses the B of
 the residual at the same point, and the exp(-k1 t) and exp(-k2 t) rows
-behind it, and is written into an array that the fit owns, with no
-temporary of the trace's length. Both stages mask where channel._defined
+behind it, and is written into an array that the fit owns, so a point
+allocates only its residual. Both stages mask where channel._defined
 fails: the grid at each kept rate pair's largest and smallest positive B,
 and LM through the NaN of channel._volts.
 
@@ -366,29 +367,31 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
         J = jacobian(p)
         g = J.T @ r
         A = J.T @ J
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cosine = np.abs(g) / (np.sqrt(np.diag(A)) * math.sqrt(2.0 * cost))
-        cosine[g == 0.0] = 0.0  # a zero column, or r = 0
-        if np.max(cosine) <= GRADIENT_COS_TOL:
+        diag = A.diagonal().tolist()
+        norms = [math.sqrt(ajj) * math.sqrt(2.0 * cost) for ajj in diag]  # ||J_j|| ||r||
+        # each cosine |J_j' r| / norms_j is 0 where J_j' r = 0 (a zero column,
+        # or r = 0) and inf where only norms_j is; a NaN one fails the test
+        if all(gj == 0.0 or nj and abs(gj) / nj <= GRADIENT_COS_TOL for gj, nj in zip(g.tolist(), norms)):
             termination = "gradient"
             break
         if accepted_steps >= MAX_ITERATIONS:
             termination = "max_iter"
             break
-        d = np.diag(A).copy()
-        d[d <= 0.0] = 1.0
+        damping = np.diag([1.0 if ajj <= 0.0 else ajj for ajj in diag])
+        step_floor = STEP_TOL * (np.linalg.norm(p) + STEP_TOL)
         termination = "no_descent"  # unless a step is accepted below
         while lam <= 1e15:
+            damped = A + lam * damping
             try:
-                step = np.linalg.solve(A + lam * np.diag(d), -g)
+                step = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(A + lam * np.diag(d), -g, rcond=None)[0]
-            if not np.all(np.isfinite(step)):
+                step = np.linalg.lstsq(damped, -g, rcond=None)[0]
+            if not all(map(math.isfinite, step.tolist())):
                 lam *= 10.0
                 continue
-            trial = np.clip(p + step, lo, hi)
+            trial = (p + step).clip(lo, hi)
             moved = trial - p
-            if np.linalg.norm(moved) < STEP_TOL * (np.linalg.norm(p) + STEP_TOL):
+            if np.linalg.norm(moved) < step_floor:
                 termination = "step"
                 break
             if abandoned(trial):
@@ -684,14 +687,14 @@ class _TraceFit:
 
     Set up once per fit: C0 is linear in gamma, so c0 is C0 at gamma = 1,
     and the caller checks the time array once. Both use
-    B = c0 gamma Bhat(k1, k2, t) from kinetics._bhat, a B^b, and the
-    exp(-k1 t) and exp(-k2 t) rows of Bhat, evaluated once per point: LM
-    asks for the Jacobian at the point of its last residual, and that call
-    reuses them. Any other point is evaluated
-    afresh, and only the last point is held. The residual maps B to volts
-    by channel._volts (NaN where the model is undefined), and is a new
-    array each call, since LM keeps the accepted residual beside the trial
-    one. The Jacobian is
+    B = c0 gamma Bhat(k1, k2, t) from kinetics._pair_bhat, a B^b, and the
+    exp(-k1 t) and exp(-k2 t) rows of Bhat, evaluated once per point into
+    four rows that this object owns: LM asks for the Jacobian at the point
+    of its last residual, and that call reuses them. Any other point is
+    evaluated afresh, and only the last point is held. The residual maps B
+    to volts by channel._volts (NaN where the model is undefined), and is a
+    new array each call, since LM keeps the accepted residual beside the
+    trial one. The Jacobian is
     dV/dtheta = -(V^2/G) a b B^(b-1) dB/dtheta, with G = ein rl / ro,
     dB/dk1 and dB/dk2 from kinetics._bhat_rate_grad and
     dB/dgamma = B / gamma, evaluated as -b V w (dB/dtheta) / B with
@@ -706,31 +709,33 @@ class _TraceFit:
         self.volts = measured.volts
         self.sensor = sensor
         self.c0 = channel_mod.initial_concentration(dataclasses.replace(tx, gamma=1.0), s)
-        self._last = None  # (p, B, a B^b, exp(-k1 t), exp(-k2 t)) of the last point
+        self._at = None  # the point (k1, k2, gamma) whose model _model_rows hold
+        self._model_rows = np.empty((4, self.times.size))  # B, a B^b, exp(-k1 t), exp(-k2 t)
         self._jac = np.empty((self.times.size, 3))
         self._rows = np.empty((3, self.times.size))
 
     def _model(self, p):
-        """B, a B^b, exp(-k1 t) and exp(-k2 t) at p."""
-        if self._last is None or not np.array_equal(self._last[0], p):
-            self._last = None  # free the old point's rows before the new ones
-            exps = []
-            b = kin_mod._bhat(p[:1], p[1:2], self.times, self.c0 * p[2], exps=exps)[0, 0]
+        """p as floats, and B, a B^b, exp(-k1 t) and exp(-k2 t) at p."""
+        at = tuple(map(float, p))
+        b, ab, e1, e2 = self._model_rows
+        if at != self._at:
+            self._at = None  # until the rows hold the new point
+            kin_mod._pair_bhat(at[0], at[1], self.times, self.c0 * at[2], e1, e2, b)
             sens = self.sensor.sens
             with np.errstate(divide="ignore", over="ignore"):
-                ab = b**sens.b
+                np.power(b, sens.b, out=ab)
                 np.multiply(sens.a, ab, out=ab)
-            self._last = (np.array(p, dtype=float), b, ab, exps[0][0], exps[1][0])
-        return self._last[1:]
+            self._at = at
+        return at, b, ab, e1, e2
 
     def residual(self, p):
-        b, ab, _, _ = self._model(p)
+        _, b, ab, _, _ = self._model(p)
         r = channel_mod._volts(b, self.sensor, ab)
         r -= self.volts
         return r
 
     def jacobian(self, p):
-        b, ab, e1, e2 = self._model(p)
+        (k1, k2, gamma), b, ab, e1, e2 = self._model(p)
         sensor, sens = self.sensor, self.sensor.sens
         work, dv_db, dk2 = self._rows
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -741,13 +746,13 @@ class _TraceFit:
             dv_db /= b
         dv_db[~(b > 0.0)] = 0.0
         dk1, dk2 = kin_mod._bhat_rate_grad(
-            p[0], p[1], self.times, self.c0 * p[2], b, e1, e2, out=(work, dk2)
+            k1, k2, self.times, self.c0 * gamma, b, e1, e2, out=(work, dk2)
         )
         jac = self._jac
         np.multiply(dv_db, dk1, out=jac[:, 0])
         np.multiply(dv_db, dk2, out=jac[:, 1])
         np.multiply(dv_db, b, out=jac[:, 2])
-        jac[:, 2] /= p[2]
+        jac[:, 2] /= gamma
         return jac
 
     def problem(self, x0, search: SearchConfig) -> FitProblem:

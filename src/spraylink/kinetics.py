@@ -73,24 +73,20 @@ def _exp_rows(k, t):
     return np.exp(rows, out=rows)
 
 
-def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None, exps=None):
+def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None):
     """B(t) of every rate pair (k1[i], k2[j]), unchecked; shape (k1.size, k2.size, t.size).
 
-    k1 and k2 are 1-D arrays of rates, t a 1-D array of times; c0 scales
-    the result as bound_concentration's c0 does. exp(-k t) is taken once
-    per rate (once in all when k2 is k1). Each pair takes the branch that
-    bound_concentration documents, in one operation order: the
-    two-exponential form, c0 k1 t e^{-k1 t} on the exact diagonal, the
-    expm1 form within CONFLUENT_REL_TOL, then a clip at 0. out, if given,
+    The grid's table kernel. k1 and k2 are 1-D arrays of rates, t a 1-D
+    array of times; c0 scales the result as bound_concentration's c0 does.
+    exp(-k t) is taken once per rate (once in all when k2 is k1). Each pair
+    takes the branch and the operation order of _pair_bhat. out, if given,
     receives B. pairs, if given, is a pair of index arrays (i, j): only the
     rate pairs (k1[i], k2[j]) are evaluated, by the same operations, as
     rows of shape (i.size, t.size), and exp(-k t) only for the rates that
     they use, so that its scratch grows with i.size, not with the number
     of rates. work, if given with pairs, is an array of that shape that
     receives the gathered exp(-k2[j] t) rows, so that no temporary of B's
-    size is allocated. exps, if given, is a list that receives the
-    exp(-k1 t) and exp(-k2 t) tables, one row per rate used.
-    _bhat_rate_grad gives the rate derivatives of one pair.
+    size is allocated.
     """
     same = k2 is k1
     if pairs is not None:  # only the rate nodes that the pairs use
@@ -106,8 +102,6 @@ def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None, exps=None):
     k2 = k1.T if same else np.asarray(k2, dtype=float)[None, :]
     e1 = _exp_rows(k1, t)
     e2 = e1 if same else _exp_rows(k2.T, t)
-    if exps is not None:
-        exps[:] = e1, e2
     k1c0 = k1 * c0
     delta = k1 - k2
     confluent = np.abs(delta) < CONFLUENT_REL_TOL * np.maximum(k1, k2)
@@ -121,24 +115,54 @@ def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None, exps=None):
         b = np.take(e1, i, axis=0, out=out)
         b -= np.take(e2, j, axis=0, out=work)
         scale = scale[i, j]
-        at = np.flatnonzero(confluent[i, j])
+        at = (np.flatnonzero(confluent[i, j]),)
         i, j = i[at], j[at]
     b *= scale[..., None]
-    if i.size:
-        d, a, e = delta[i, j][:, None], k1c0[i], e1[i]
-        with np.errstate(invalid="ignore"):  # 0/0 on the diagonal, not selected
-            b[at] = np.where(d == 0.0, (a * t) * e, a * e * np.expm1(d * t) / d)
+    if i.size:  # the confluent pairs: the exact diagonal's form, then the expm1 form off it
+        a, e = k1c0[i], e1[i]
+        b[at] = (a * t) * e
+        d = delta[i, j]
+        near = d != 0.0
+        if near.any():
+            a, e, d = a[near], e[near], d[near][:, None]
+            b[tuple(x[near] for x in at)] = a * e * np.expm1(d * t) / d
     np.maximum(b, 0.0, out=b)
     return b
+
+
+def _pair_bhat(k1, k2, t, c0, e1, e2, b):
+    """B(t) of one rate pair (k1, k2), floats, into the row b, unchecked; returns b.
+
+    exp(-k1 t) and exp(-k2 t) go into the rows e1 and e2. The branch is
+    bound_concentration's: k1 c0 / (k2 - k1) (e1 - e2), or within
+    CONFLUENT_REL_TOL (read at each call) of k1 == k2, (c0 k1 t) e1 on the
+    exact diagonal and c0 k1 e1 expm1(delta t) / delta off it; then a clip
+    at 0. Only the off-diagonal confluent form allocates, one row.
+    """
+    np.exp(np.multiply(-k1, t, out=e1), out=e1)
+    np.exp(np.multiply(-k2, t, out=e2), out=e2)
+    k1c0 = k1 * c0
+    delta = k1 - k2
+    if not abs(delta) < CONFLUENT_REL_TOL * max(k1, k2):
+        np.subtract(e1, e2, out=b)
+        b *= k1c0 / -delta
+    elif delta == 0.0:
+        np.multiply(k1c0, t, out=b)
+        b *= e1
+    else:
+        np.expm1(np.multiply(delta, t, out=b), out=b)
+        np.multiply(k1c0 * e1, b, out=b)
+        b /= delta
+    return np.maximum(b, 0.0, out=b)
 
 
 def _bhat_rate_grad(k1, k2, t, c0, b, e1, e2, out):
     """(dB/dk1, dB/dk2) of the rate pair (k1, k2) at ascending times t, unchecked.
 
-    b is that pair's B, _bhat([k1], [k2], t, c0)[0, 0], and e1 and e2 are
-    the exp(-k1 t) and exp(-k2 t) rows that _bhat took for it. out is a
-    pair of arrays shaped like b that receive dB/dk1 and dB/dk2, which are
-    returned; no other array of b's size is allocated. dB/dk2 is
+    b is that pair's B, and e1 and e2 are the exp(-k1 t) and exp(-k2 t)
+    rows behind it, as _pair_bhat writes them. out is a pair of arrays
+    shaped like b that receive dB/dk1 and dB/dk2, which are returned; no
+    other array of b's size is allocated. dB/dk2 is
     (c0 k1 t e^{-k2 t} - B) / (k2 - k1), whose cancellation costs about
     2 eps / (delta t)^2 relative, delta = k1 - k2. Where |delta t| < 1e-2
     it is -c0 k1 t^2 e^{-k1 t} phi'(delta t) instead, phi(x) = expm1(x) / x,
@@ -150,7 +174,7 @@ def _bhat_rate_grad(k1, k2, t, c0, b, e1, e2, out):
     dk1, dk2 = out
     delta = k1 - k2
     k1c0 = k1 * c0
-    cut = int(np.searchsorted(np.multiply(abs(delta), t, out=dk2), 1e-2))
+    cut = int(np.multiply(abs(delta), t, out=dk2).searchsorted(1e-2))
     head, tail = t[:cut], t[cut:]
     x = np.multiply(delta, head, out=dk2[:cut])  # until dphi is done
     dphi = np.divide(x, 144.0, out=dk1[:cut])  # 0.5 + x (1/3 + x (1/8 + x (1/30 + x/144)))
@@ -178,12 +202,13 @@ def bound_concentration(c0: float, kin: KineticsParams, t):
     Evaluates the two-exponential closed form, switching to the
     expm1-scaled form within CONFLUENT_REL_TOL of k1 == k2 so the value
     stays finite and non-negative through the confluent point. Accepts a
-    scalar or array time. The validated form of _bhat for one rate pair.
+    scalar or array time. The validated form of _pair_bhat.
     """
     if not (math.isfinite(c0) and c0 >= 0.0):
         raise ValidationError(f"c0 must be finite and >= 0, got {c0!r}")
     tt = _as_time_array(t)
-    b = _bhat([kin.k1], [kin.k2], tt.reshape(-1), c0)
+    exps = np.empty((2, tt.size))
+    b = _pair_bhat(kin.k1, kin.k2, tt.reshape(-1), c0, exps[0], exps[1], np.empty(tt.size))
     return _match(b.reshape(tt.shape), t)
 
 

@@ -26,6 +26,7 @@ from spraylink.cli import (
     EXIT_VALIDATION,
     main,
 )
+from spraylink.errors import ValidationError
 from spraylink.traceio import TRACE_HEADER, Trace, load_trace, store_trace
 
 
@@ -405,6 +406,17 @@ def test_no_config_an_empty_one_and_one_of_defaults_load_equal(tmp_path, monkeyp
 
 
 
+def test_a_key_its_section_does_not_list_is_refused_by_name(tmp_path):
+    (tmp_path / "typo.ini").write_text("[search]\nk_gird = 12\n")
+    with pytest.raises(ValidationError, match=r"^\[search\] k_gird "):
+        config.load_config(tmp_path / "typo.ini")
+    # [DEFAULT] keys reach every section, and other sections are not read
+    (tmp_path / "ok.ini").write_text(
+        "[DEFAULT]\nnodes = 12\n[search]\nk_grid = %(nodes)s\n[transmitter]\n[notes]\nk_gird = 1\n"
+    )
+    assert config.load_config(tmp_path / "ok.ini").search.k_grid == 12
+
+
 # name: (files to create, argv, exit code); a None file is a directory
 HOSTILE_INPUTS = {
     "config_no_section": (
@@ -440,6 +452,9 @@ HOSTILE_INPUTS = {
                        b'"canonical": "false"}'},
         ["trend", "est", "--out", "out.csv"], EXIT_IO),
     "config_missing": ({}, ["--config", "nope.ini", "fit-sensitivity"], EXIT_IO),
+    "config_misspelt_key": (
+        {"c.ini": b"[search]\nk_gird = 12\n"}, ["--config", "c.ini", "fit-sensitivity"],
+        EXIT_VALIDATION),
     "estimate_three_samples": (
         {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n"},
         ["estimate", "t.csv", "--s", "1"], EXIT_VALIDATION),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import _fd_jacobian
 
-from spraylink import fitting, kinetics
+from spraylink import channel, fitting, kinetics
 from spraylink.channel import response_voltages, sample_response
 from spraylink.errors import (
     AlignmentError,
@@ -190,6 +190,36 @@ def test_lm_gradient_test_takes_a_zero_column_or_residual_as_orthogonal():
         result = levenberg_marquardt(problem)
         assert result.termination == "gradient" and result.converged
     assert result.iterations == 0 and result.mse == 0.0
+
+
+def test_lm_gradient_test_is_not_met_by_a_column_whose_norm_underflows():
+    # ||J_2||^2 = 1e-340 underflows to 0 while J_2' r = 1e-170 does not:
+    # that cosine is inf, not a division error, and never ends on "gradient"
+    jac = np.diag([1.0, 1.0, 1e-170])
+    result = levenberg_marquardt(
+        FitProblem(
+            residual=lambda p: jac @ p - np.array([1.0, 2.0, -1.0]),
+            jacobian=lambda p: jac,
+            bounds=((-10.0, 10.0),) * 3,
+            x0=[0.0, 0.0, 0.0],
+        )
+    )
+    assert (jac.T @ jac)[2, 2] == 0.0
+    assert result.termination != "gradient" and result.iterations > 0
+
+
+def test_lm_gradient_test_is_not_met_by_a_nan_cosine():
+    # at x0, J' r = (0, 0, NaN): two cosines are 0 and the third is NaN
+    jac = np.diag([1.0, 1.0, np.nan])
+    result = levenberg_marquardt(
+        FitProblem(
+            residual=lambda p: np.array([p[0] - 1.0, p[1] - 2.0, 1.0]),
+            jacobian=lambda p: jac,
+            bounds=((-10.0, 10.0),) * 3,
+            x0=[1.0, 2.0, 0.5],
+        )
+    )
+    assert result.termination != "gradient" and not result.converged
 
 
 def test_lm_stops_after_max_iterations():
@@ -824,6 +854,35 @@ def test_trace_fit_jacobian_buffers_hold_no_stale_point(bench_tx, bench_sensor):
     for r, copy in returned:
         assert r.tobytes() == copy.tobytes()
     assert len({id(r) for r, _ in returned}) == len(returned)
+
+
+def test_trace_fit_residual_is_the_per_pair_model_bit_for_bit(bench_tx, bench_sensor):
+    trace = _synthetic_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, s=1.0, sigma=0.01, seed=3)
+    fit = fitting._TraceFit(trace, bench_tx, bench_sensor, 1.0)
+    for k1, k2, gamma in _FIT_POINTS:
+        b = kinetics.bound_concentration(fit.c0 * gamma, KineticsParams(k1, k2), trace.times)
+        want = channel._volts(b, bench_sensor) - trace.volts
+        assert np.array_equal(fit.residual((k1, k2, gamma)), want, equal_nan=True), (k1, k2)
+
+
+def test_trace_fit_residual_at_a_new_point_allocates_one_row(bench_tx, bench_sensor):
+    # the model rows belong to the fit, so a new point allocates only its
+    # residual; allocating B, a B^b and the exp rows per point took 5.1 rows
+    trace = sample_response(
+        dataclasses.replace(bench_tx, gamma=3.0), KineticsParams(2.0, 0.5), bench_sensor, 1.0,
+        np.linspace(0.0, 10.0, 10001),
+    )
+    fit = fitting._TraceFit(trace, bench_tx, bench_sensor, 1.0)
+    fit.residual(_FIT_POINTS[0])
+    for p in ((2.1, 0.5, 3.0), (0.5, 2.0, 12.0), (1.0, 2.0, 2.0)):
+        tracemalloc.start()
+        try:
+            r = fit.residual(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(r))
+        assert peak < 1.5 * r.nbytes, peak / r.nbytes
 
 
 def test_fit_condition_is_that_of_a_fresh_jacobian(bench_tx, bench_sensor):
