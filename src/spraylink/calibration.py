@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MeasurementError, ValidationError
+from .errors import MeasurementError, ValidationError, require_positive
 from .sensor import _divider_resistance
 from .traceio import read_columns
 
@@ -54,19 +54,22 @@ def flow_rate(measurements, rho_d: float) -> FlowRateReport:
 
     Each record contributes Q_i = ((before - after) / rho_d) / dt; the
     report carries the arithmetic mean, every Q_i, and the sample standard
-    deviation (ddof = 1; zero for a single measurement).
+    deviation (ddof = 1; zero for a single measurement). Any of them that
+    leaves the float range raises MeasurementError.
     """
-    if not (math.isfinite(rho_d) and rho_d > 0.0):
-        raise ValidationError(f"rho_d must be finite and > 0, got {rho_d!r}")
+    require_positive("rho_d", rho_d)
     ms = list(measurements)
     if not ms:
         raise ValidationError("need at least one measurement")
     qs = tuple(((m.mass_before - m.mass_after) / rho_d) / m.dt for m in ms)
     mean = sum(qs) / len(qs)
-    if len(qs) > 1:
-        std = math.sqrt(sum((q - mean) ** 2 for q in qs) / (len(qs) - 1))
-    else:
-        std = 0.0
+    try:
+        spread = sum((q - mean) ** 2 for q in qs)
+    except OverflowError:  # a squared deviation beyond the float range
+        spread = math.inf
+    std = math.sqrt(spread / (len(qs) - 1)) if len(qs) > 1 else 0.0
+    if not all(map(math.isfinite, (*qs, mean, std))):
+        raise MeasurementError("flow rates, their mean or their spread leave the float range")
     return FlowRateReport(q=mean, per_measurement=qs, std=std)
 
 
@@ -78,10 +81,8 @@ def reference_resistance(eout_ref: float, ein: float, rl: float) -> float:
     0.0004 kg/m^3 reference reads 0.2 V on a 5 V supply; that convention is
     only used to justify the reference voltage, nowhere else.
     """
-    if not (math.isfinite(ein) and ein > 0.0):
-        raise ValidationError(f"ein must be finite and > 0, got {ein!r}")
-    if not (math.isfinite(rl) and rl > 0.0):
-        raise ValidationError(f"rl must be finite and > 0, got {rl!r}")
+    require_positive("ein", ein)
+    require_positive("rl", rl)
     return _divider_resistance(eout_ref, ein, rl)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinetics as kin_mod
-from .errors import BoundsViolationError, OutOfCalibrationError, ValidationError
+from .errors import BoundsViolationError, OutOfCalibrationError, ValidationError, require_positive
 from .kinetics import KineticsParams
 from .sensor import DETECTION_SCOPE, SensorSpec
 from .traceio import Trace
@@ -61,9 +61,7 @@ class TransmitterSpec:
 
     def __post_init__(self):
         for name in ("q", "te", "rho_d"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
+            require_positive(name, getattr(self, name))
         if not (0.0 < self.theta < math.pi / 2.0):
             raise ValidationError(
                 f"theta must lie in (0, pi/2) rad, got {self.theta!r}"
@@ -91,8 +89,7 @@ class ConeGeometry:
     theta_rv: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s > 0.0):
-            raise ValidationError(f"s must be finite and > 0, got {self.s!r}")
+        require_positive("s", self.s)
         if not (0.0 < self.theta_rv <= self.theta < math.pi / 2.0):
             raise ValidationError(
                 "need 0 < theta_rv <= theta < pi/2, got "
@@ -142,8 +139,7 @@ def initial_concentration(tx: TransmitterSpec, s: float) -> float:
     cancels out, so no ConeGeometry is needed. A C0 that is not a finite
     float > 0 (s^3 under- or overflows) raises ValidationError naming s.
     """
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValidationError(f"distance s must be finite and > 0, got {s!r}")
+    require_positive("distance s", s)
     try:
         c0 = (
             3.0

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import calibration, channel, fitting, sensor, traceio
 from .config import load_config
-from .errors import NoSignalError, ParseError, SprayLinkError, ValidationError
+from .errors import NoSignalError, ParseError, SprayLinkError, ValidationError, require_positive
 from .kinetics import KineticsParams, peak_time
 
 EXIT_OK = 0
@@ -120,12 +120,11 @@ def _cmd_simulate(cfg, args) -> int:
         trace = traceio.Trace(trace.times, noisy, meta=dict(trace.meta, noise_v=args.noise, seed=args.seed))
     traceio.store_trace(trace, args.out)
     t_star = peak_time(kin)
-    peak_idx = int(np.argmax(trace.volts)) if len(trace) else 0
+    peak_idx = int(np.argmax(trace.volts))
     print(f"wrote {args.out} ({len(trace)} samples)")
     print(f"C0 = {c0:.6g} kg/m^3")
     print(f"kinetics peak time = {t_star:.6g} s")
-    if len(trace):
-        print(f"peak voltage = {trace.volts[peak_idx]:.6g} V at t = {trace.times[peak_idx]:.6g} s")
+    print(f"peak voltage = {trace.volts[peak_idx]:.6g} V at t = {trace.times[peak_idx]:.6g} s")
     return EXIT_OK
 
 
@@ -231,8 +230,7 @@ def _cmd_trend(cfg, args) -> int:
                 mse=_json_number(data, "mse", math.nan),
             )
             s = _json_number(data, "s")
-            if not (math.isfinite(s) and s > 0.0):
-                raise ValueError(f"distance s must be finite and > 0, got {s!r}")
+            require_positive("distance s", s)
             pairs.append((s, est))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"estimate file is invalid: {exc}", path=path) from exc

@@ -6,6 +6,8 @@ dedicated CLI exit codes (:class:`NoSignalError`, :class:`ParseError`) stand
 on their own.
 """
 
+import math
+
 
 class SprayLinkError(Exception):
     """Base class for all toolkit errors."""
@@ -13,6 +15,12 @@ class SprayLinkError(Exception):
 
 class ValidationError(SprayLinkError, ValueError):
     """An input violates a documented invariant."""
+
+
+def require_positive(name, value):
+    """Raise ValidationError unless value is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
 
 
 class BoundsViolationError(ValidationError):

@@ -97,6 +97,7 @@ from .errors import (
     InsufficientDataError,
     NoSignalError,
     ValidationError,
+    require_positive,
 )
 from .sensor import SensitivityCoeffs, SensitivityTable, SensorSpec
 from .traceio import Trace
@@ -210,9 +211,7 @@ class ChannelEstimate:
 
     def __post_init__(self):
         for name in ("k1", "k2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
+            require_positive(name, getattr(self, name))
         if not self.gamma >= 1.0 - 1e-9:
             raise ValidationError(f"gamma must be >= 1, got {self.gamma!r}")
         if self.canonical and self.k1 < self.k2:
@@ -433,7 +432,8 @@ def fit_sensitivity(table: SensitivityTable) -> tuple[SensitivityCoeffs, FitResu
     Needs at least 4 points with strictly increasing, positive
     concentrations. The initial guess comes from a log-log slope fit. A
     degenerate table (constant ratio column, or a rank-deficient Jacobian
-    at the solution) produces a warning and converged=False.
+    at the solution), or a fit that ends on a bound, produces a warning and
+    converged=False.
     """
     x = table.concentration
     y = table.ratio
@@ -453,7 +453,8 @@ def fit_sensitivity(table: SensitivityTable) -> tuple[SensitivityCoeffs, FitResu
     a0 = float(np.clip(math.exp(log_a0), 1e-8, 1e3))
 
     def residual(p):
-        return p[0] * x ** p[1] + p[2] - y
+        with np.errstate(over="ignore"):  # an inf power gives an inf cost, which LM rejects
+            return p[0] * x ** p[1] + p[2] - y
 
     def jacobian(p):
         power = x ** p[1]
@@ -466,12 +467,17 @@ def fit_sensitivity(table: SensitivityTable) -> tuple[SensitivityCoeffs, FitResu
         x0=np.array([a0, b0, 0.0]),
     )
     result = levenberg_marquardt(problem)
+    pinned = ", ".join(name for name, hit in zip("abc", result.at_bound) if hit)
+    why = None
     if degenerate or result.jac_condition > RANK_DEFICIENT_COND:
-        warnings.warn(
+        why = (
             "sensitivity table is rank-deficient for a power-law fit; "
-            "coefficients are not uniquely determined",
-            stacklevel=2,
+            "coefficients are not uniquely determined"
         )
+    elif pinned:
+        why = f"sensitivity fit ended on the bound of {pinned}; coefficients are not a free minimum"
+    if why:
+        warnings.warn(why, stacklevel=2)
         result = dataclasses.replace(result, converged=False)
     coeffs = SensitivityCoeffs(
         a=float(result.params[0]), b=float(result.params[1]), c=float(result.params[2])
@@ -479,22 +485,17 @@ def fit_sensitivity(table: SensitivityTable) -> tuple[SensitivityCoeffs, FitResu
     return coeffs, result
 
 
-def _swap_scale(k1: float, k2: float, gamma: float) -> tuple[float, float, float]:
-    """The parameter triple equivalent under the swap-scale degeneracy."""
-    return k2, k1, gamma * k1 / k2
-
-
 def canonicalize(k1: float, k2: float, gamma: float, gamma_min: float = 1.0):
     """Map an estimate onto the k1 >= k2 branch when gamma allows it.
 
-    Returns (k1, k2, gamma, canonical). The mirror triple is exact, so this
-    never changes the modeled voltages.
+    Returns (k1, k2, gamma, canonical). The mirror triple (k2, k1,
+    gamma k1 / k2) is exact, so this never changes the modeled voltages.
     """
     if k1 >= k2:
         return k1, k2, gamma, True
-    m1, m2, mg = _swap_scale(k1, k2, gamma)
-    if mg >= gamma_min * (1.0 - 1e-12):
-        return m1, m2, max(mg, gamma_min), True
+    mirror_gamma = gamma * k1 / k2
+    if mirror_gamma >= gamma_min * (1.0 - 1e-12):
+        return k2, k1, max(mirror_gamma, gamma_min), True
     return k1, k2, gamma, False
 
 
@@ -540,7 +541,6 @@ def _grid_cells(
     k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
     g_nodes = np.geomspace(search.gamma_min, search.gamma_max, search.gamma_grid)
     c0 = channel_mod.initial_concentration(dataclasses.replace(tx, gamma=1.0), s) * g_nodes
-    slope = sens.a * c0**sens.b
     offset = sens.c + sensor.rl / sensor.ro
     gain = sensor.ein * sensor.rl / sensor.ro
     times, meas_v = measured.times, measured.volts
@@ -559,10 +559,10 @@ def _grid_cells(
         size = t.size
         bhat = bhat_buf[: live.size * size].reshape(live.size, size)
         if live.size == pairs:  # every pair: no gathers
-            kin_mod._bhat(k_nodes, k_nodes, t, out=bhat.reshape(k, k, size))
+            kin_mod._bhat(k_nodes, t, bhat.reshape(k, k, size))
         else:
             work = block_buf[: live.size * size].reshape(live.size, size)
-            kin_mod._bhat(k_nodes, k_nodes, t, out=bhat, pairs=np.divmod(live, k), work=work)
+            kin_mod._bhat(k_nodes, t, bhat, pairs=np.divmod(live, k), work=work)
         return bhat
 
     def track(bhat, live):
@@ -645,6 +645,7 @@ def _grid_cells(
 
     top = search.refine_top
     with np.errstate(divide="ignore", over="ignore"):
+        slope = sens.a * c0**sens.b
         stride = -(-n // piece)
         sub = np.zeros_like(sse)
         add_pieces(times[::stride], meas_v[::stride], alive, sub)
@@ -838,8 +839,7 @@ def estimate_channel_params(
     """
     if search is None:
         search = SearchConfig()
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValidationError(f"distance s must be finite and > 0, got {s!r}")
+    require_positive("distance s", s)
     if len(measured) < 4:
         raise InsufficientDataError(
             "channel fit is under-determined: need >= 4 samples for 3 "
@@ -927,32 +927,15 @@ def distance_trend(estimates) -> TrendReport:
             f"need estimates at >= 2 distinct distances, got {len(groups)}"
         )
 
-    def stats(values):
-        arr = np.asarray(values, dtype=float)
-        std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        return float(arr.mean()), std
-
-    rows = []
-    for s in sorted(groups):
-        ests = groups[s]
-        k1_m, k1_s = stats([e.k1 for e in ests])
-        k2_m, k2_s = stats([e.k2 for e in ests])
-        g_m, g_s = stats([e.gamma for e in ests])
-        rows.append(
-            DistanceStats(
-                s=s,
-                n=len(ests),
-                k1_mean=k1_m,
-                k1_std=k1_s,
-                k2_mean=k2_m,
-                k2_std=k2_s,
-                gamma_mean=g_m,
-                gamma_std=g_s,
-            )
-        )
-    verdicts = {
-        "k1": _spread_verdict(np.array([r.k1_mean for r in rows])),
-        "k2": _spread_verdict(np.array([r.k2_mean for r in rows])),
-        "gamma": _spread_verdict(np.array([r.gamma_mean for r in rows])),
-    }
-    return TrendReport(rows=tuple(rows), verdicts=verdicts)
+    distances = sorted(groups)
+    columns, verdicts = {}, {}
+    for name in ("k1", "k2", "gamma"):
+        values = [np.array([getattr(e, name) for e in groups[s]], dtype=float) for s in distances]
+        columns[f"{name}_mean"] = means = [float(v.mean()) for v in values]
+        columns[f"{name}_std"] = [float(np.std(v, ddof=1)) if v.size > 1 else 0.0 for v in values]
+        verdicts[name] = _spread_verdict(np.array(means))
+    rows = tuple(
+        DistanceStats(s=s, n=len(groups[s]), **{key: col[i] for key, col in columns.items()})
+        for i, s in enumerate(distances)
+    )
+    return TrendReport(rows=rows, verdicts=verdicts)

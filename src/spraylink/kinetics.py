@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_positive
 
 # |k1 - k2| below this fraction of max(k1, k2) uses the confluent-stable form.
 CONFLUENT_REL_TOL = 1e-6
@@ -39,9 +39,7 @@ class KineticsParams:
 
     def __post_init__(self):
         for name in ("k1", "k2"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
+            require_positive(name, getattr(self, name))
 
 
 def _as_time_array(t):
@@ -67,59 +65,47 @@ def free_concentration(c0: float, kin: KineticsParams, t):
     return _match(c0 * np.exp(-kin.k1 * tt), t)
 
 
-def _exp_rows(k, t):
-    """exp(-k t) for each rate of the column k, one row each, taken in place."""
-    rows = np.multiply(-k, t)
-    return np.exp(rows, out=rows)
+def _bhat(k, t, out, pairs=None, work=None):
+    """B(t) at C0 = 1 of every rate pair (k[i], k[j]) into out, unchecked; returns out.
 
-
-def _bhat(k1, k2, t, c0=1.0, out=None, pairs=None, work=None):
-    """B(t) of every rate pair (k1[i], k2[j]), unchecked; shape (k1.size, k2.size, t.size).
-
-    The grid's table kernel. k1 and k2 are 1-D arrays of rates, t a 1-D
-    array of times; c0 scales the result as bound_concentration's c0 does.
-    exp(-k t) is taken once per rate (once in all when k2 is k1). Each pair
-    takes the branch and the operation order of _pair_bhat. out, if given,
-    receives B. pairs, if given, is a pair of index arrays (i, j): only the
-    rate pairs (k1[i], k2[j]) are evaluated, by the same operations, as
-    rows of shape (i.size, t.size), and exp(-k t) only for the rates that
-    they use, so that its scratch grows with i.size, not with the number
-    of rates. work, if given with pairs, is an array of that shape that
-    receives the gathered exp(-k2[j] t) rows, so that no temporary of B's
-    size is allocated.
+    The grid's table kernel. k is a 1-D float array of rate nodes, t a 1-D
+    array of times and out of shape (k.size, k.size, t.size). exp(-k t) is
+    taken once per rate node. Each pair takes the branch and the operation
+    order of _pair_bhat at c0 = 1. pairs, if given, is a pair of index
+    arrays (i, j): only the rate pairs (k[i], k[j]) are evaluated, by the
+    same operations, into out of shape (i.size, t.size), and exp(-k t) only
+    for the nodes that they use, so that its scratch grows with i.size, not
+    with the number of nodes. work, if given with pairs, is an array of
+    that shape that receives the gathered exp(-k[j] t) rows, so that no
+    temporary of B's size is allocated.
     """
-    same = k2 is k1
     if pairs is not None:  # only the rate nodes that the pairs use
-        k1 = np.asarray(k1, dtype=float)
-        k2 = k1 if same else np.asarray(k2, dtype=float)
-        used1 = np.zeros(k1.size, dtype=bool)
-        used2 = used1 if same else np.zeros(k2.size, dtype=bool)
-        used1[pairs[0]] = used2[pairs[1]] = True
-        pairs = np.cumsum(used1)[pairs[0]] - 1, np.cumsum(used2)[pairs[1]] - 1
-        k1 = k1[used1]
-        k2 = k1 if same else k2[used2]
-    k1 = np.asarray(k1, dtype=float)[:, None]
-    k2 = k1.T if same else np.asarray(k2, dtype=float)[None, :]
-    e1 = _exp_rows(k1, t)
-    e2 = e1 if same else _exp_rows(k2.T, t)
-    k1c0 = k1 * c0
+        used = np.zeros(k.size, dtype=bool)
+        used[pairs[0]] = used[pairs[1]] = True
+        place = np.cumsum(used) - 1  # of each used node among the used nodes
+        pairs = place[pairs[0]], place[pairs[1]]
+        k = k[used]
+    k1 = k[:, None]
+    k2 = k1.T
+    e = np.multiply(-k1, t)
+    np.exp(e, out=e)
     delta = k1 - k2
     confluent = np.abs(delta) < CONFLUENT_REL_TOL * np.maximum(k1, k2)
-    scale = k1c0 / np.where(confluent, np.inf, -delta)
+    scale = k1 / np.where(confluent, np.inf, -delta)
     if pairs is None:
-        b = np.subtract(e1[:, None, :], e2[None, :, :], out=out)
+        b = np.subtract(e[:, None, :], e[None, :, :], out=out)
         i, j = np.nonzero(confluent)
         at = (i, j)
     else:
         i, j = pairs
-        b = np.take(e1, i, axis=0, out=out)
-        b -= np.take(e2, j, axis=0, out=work)
+        b = np.take(e, i, axis=0, out=out)
+        b -= np.take(e, j, axis=0, out=work)
         scale = scale[i, j]
         at = (np.flatnonzero(confluent[i, j]),)
         i, j = i[at], j[at]
     b *= scale[..., None]
     if i.size:  # the confluent pairs: the exact diagonal's form, then the expm1 form off it
-        a, e = k1c0[i], e1[i]
+        a, e = k1[i], e[i]
         b[at] = (a * t) * e
         d = delta[i, j]
         near = d != 0.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfCalibrationError, ValidationError
+from .errors import OutOfCalibrationError, ValidationError, require_positive
 from .traceio import read_columns
 
 # Concentration range the sensor is specified for, kg/m^3. Values outside
@@ -38,8 +38,7 @@ class SensitivityCoeffs:
     c: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValidationError(f"a must be finite and > 0, got {self.a!r}")
+        require_positive("a", self.a)
         if not (math.isfinite(self.b) and self.b < 0.0):
             raise ValidationError(f"b must be finite and < 0, got {self.b!r}")
         if not math.isfinite(self.c):
@@ -47,7 +46,11 @@ class SensitivityCoeffs:
         # f is decreasing in B (b < 0), so its minimum over the detection
         # scope sits at the upper end.
         hi = DETECTION_SCOPE[1]
-        if self.a * hi**self.b + self.c <= 0.0:
+        try:
+            f_hi = self.a * hi**self.b + self.c
+        except OverflowError:  # hi**b beyond the float range: f(hi) = +inf
+            f_hi = math.inf
+        if f_hi <= 0.0:
             raise ValidationError(
                 "sensitivity must stay positive over the detection scope "
                 f"{DETECTION_SCOPE}; f({hi}) <= 0 for (a, b, c) = "
@@ -74,9 +77,7 @@ class SensorSpec:
 
     def __post_init__(self):
         for name in ("ein", "rl", "ro"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
+            require_positive(name, getattr(self, name))
 
 
 def in_detection_scope(b) -> bool:
@@ -115,8 +116,7 @@ def resistance_from_voltage(eout: float, spec: SensorSpec) -> float:
 
 def voltage_from_resistance(rs: float, spec: SensorSpec) -> float:
     """Divider output Eout = Ein * RL / (RL + R_S); inverse of resistance_from_voltage."""
-    if not (math.isfinite(rs) and rs > 0.0):
-        raise ValidationError(f"sensor resistance must be finite and > 0, got {rs!r}")
+    require_positive("sensor resistance", rs)
     return spec.ein * spec.rl / (spec.rl + rs)
 
 

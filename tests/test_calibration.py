@@ -62,6 +62,11 @@ def test_flow_rate_validation():
         flow_rate([], rho_d=789.0)
     with pytest.raises(ValidationError):
         flow_rate([MassMeasurement(1.0, 0.9, 0.5)], rho_d=0.0)
+    # a squared deviation overflows; a Q_i, and the mean of finite ones, is inf
+    for records in ([(1e200, 0.0, 1.0), (1.0, 0.0, 1.0)], [(1e308, 0.0, 1e-308)],
+                    [(1e308, 0.0, 1.0), (1e308, 0.0, 1.0)]):
+        with pytest.raises(MeasurementError, match="float range"):
+            flow_rate([MassMeasurement(*r) for r in records], rho_d=1.0)
 
 
 def test_reference_resistance():

@@ -312,6 +312,25 @@ def test_flow_rate_bad_file(tmp_path, capsys):
     assert run(["flow-rate", path]) == EXIT_IO
 
 
+def test_a_steep_sensitivity_curve_exits_2_and_warns_nothing(tmp_path, capsys, monkeypatch):
+    # b = -500 overflows 0.01**b as the curve is checked and C0**b in the grid
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.ini").write_text("[sensor]\nb = -500\n")
+    assert run(["simulate", "--k1", 2, "--k2", 0.5, "--s", 1.0, "--out", "t.csv"]) == EXIT_OK
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        for argv, expected in (
+            (["simulate", "--k1", 2, "--k2", 0.5, "--s", 1.0, "--out", "out.csv"], EXIT_VALIDATION),
+            (["estimate", "t.csv", "--s", 1.0], EXIT_VALIDATION),
+            (["fit-sensitivity"], EXIT_OK),  # fits its own table, not the config's curve
+        ):
+            assert run(["--config", "c.ini", *argv]) == expected
+            err = capsys.readouterr().err
+            assert (err == "") if expected == EXIT_OK else err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_missing_trace_file_is_io_error(tmp_path, capsys):
     assert run(["estimate", tmp_path / "nope.csv", "--s", 1.0]) == EXIT_IO
 
@@ -452,6 +471,12 @@ HOSTILE_INPUTS = {
                        b'"canonical": "false"}'},
         ["trend", "est", "--out", "out.csv"], EXIT_IO),
     "config_missing": ({}, ["--config", "nope.ini", "fit-sensitivity"], EXIT_IO),
+    "flow_rate_spread_overflow": (
+        {"m.csv": b"mass_before_kg,mass_after_kg,dt_s\n1e200,0,1\n1,0,1\n"},
+        ["flow-rate", "m.csv", "--rho-d", "1"], EXIT_VALIDATION),
+    "flow_rate_infinite": (
+        {"m.csv": b"mass_before_kg,mass_after_kg,dt_s\n1e308,0,1e-308\n"},
+        ["flow-rate", "m.csv"], EXIT_VALIDATION),
     "config_misspelt_key": (
         {"c.ini": b"[search]\nk_gird = 12\n"}, ["--config", "c.ini", "fit-sensitivity"],
         EXIT_VALIDATION),
