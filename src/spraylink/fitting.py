@@ -20,8 +20,9 @@ Bhat. LM evaluates the model once per point: its Jacobian reuses the B of
 the residual at the same point, and the exp(-k1 t) and exp(-k2 t) rows
 behind it, and is written into an array that the fit owns, so a point
 allocates only its residual. Both stages mask where channel._defined
-fails: the grid at each kept rate pair's largest and smallest positive B,
-and LM through the NaN of channel._volts.
+fails: the grid at the largest and smallest positive B of each cell whose
+feasibility it reads (the candidates and the cells kept, below), and LM
+through the NaN of channel._volts.
 
 The grid's sensitivity is f(B) = a C0^b Bhat^b + c. It sums squared
 errors in pieces of L = _GRID_BLOCK_ELEMENTS / k_grid^2 samples. One
@@ -41,9 +42,12 @@ mining trillions of time series subsequences under dynamic time warping",
 KDD 2012), with a bound that is exact, and as there it scores first the
 samples most likely to push a cell past the bound. A pre-pass scores every
 cell on the samples times[::ceil(n / L)], at most one piece. Its
-2 refine_top best cells, the candidates, are scored over the whole trace in
-whole-piece kernel calls, and their feasibility is judged from the Bhat
-ends those calls track; no other call tracks them. tau, the
+2 refine_top best cells, the candidates, are those of a stable sort of the
+pre-pass sums (ties to the lower cell index, NaN last), found by
+np.partition and a sort of only the sums at or below its cut. They are
+scored over the whole trace in whole-piece kernel calls, and their
+feasibility is judged from the Bhat ends those calls track; no other call
+tracks them. tau, the
 refine_top-th smallest feasible sum of squared errors (SSE) among them
 times 1 + _PRUNE_SLACK (inf with fewer), bounds the refine_top-th best
 SSE from above. With bound =
@@ -83,6 +87,7 @@ the swap, so a start that ends on a bound may have a mirror that does not.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -335,6 +340,9 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
     J is read only until the next jacobian call, so the problem's jacobian
     may return one array that it overwrites each call. Its residual must
     return a new array each call: the accepted r is kept beside r_trial.
+    The fit runs under np.errstate(over="ignore"), the problem's residual,
+    jacobian and abandon included: an overflow gives inf without a
+    RuntimeWarning, and a step whose cost is not finite is rejected.
     """
     lo, hi = problem._bounds_arrays()
     residual_evals = jacobian_evals = 0
@@ -352,66 +360,67 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
     def abandoned(x):
         return problem.abandon is not None and bool(problem.abandon(x))
 
-    p = problem.x0.copy()
-    r = J = None
-    accepted_steps = 0
-    termination = "abandoned" if abandoned(p) else None
-    if termination is None:
-        r = residual(p)
-        if not np.all(np.isfinite(r)):
-            raise ValidationError("residual is not finite at the initial guess")
-        cost = 0.5 * float(r @ r)
-        lam = LAMBDA_INIT
-    while termination is None:
-        J = jacobian(p)
-        g = J.T @ r
-        A = J.T @ J
-        diag = A.diagonal().tolist()
-        norms = [math.sqrt(ajj) * math.sqrt(2.0 * cost) for ajj in diag]  # ||J_j|| ||r||
-        # each cosine |J_j' r| / norms_j is 0 where J_j' r = 0 (a zero column,
-        # or r = 0) and inf where only norms_j is; a NaN one fails the test
-        if all(gj == 0.0 or nj and abs(gj) / nj <= GRADIENT_COS_TOL for gj, nj in zip(g.tolist(), norms)):
-            termination = "gradient"
-            break
-        if accepted_steps >= MAX_ITERATIONS:
-            termination = "max_iter"
-            break
-        damping = np.diag([1.0 if ajj <= 0.0 else ajj for ajj in diag])
-        step_floor = STEP_TOL * (np.linalg.norm(p) + STEP_TOL)
-        termination = "no_descent"  # unless a step is accepted below
-        while lam <= 1e15:
-            damped = A + lam * damping
-            try:
-                step = np.linalg.solve(damped, -g)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(damped, -g, rcond=None)[0]
-            if not all(map(math.isfinite, step.tolist())):
+    with np.errstate(over="ignore"):  # an overflowing r, J or cost is inf, not a warning
+        p = problem.x0.copy()
+        r = J = None
+        accepted_steps = 0
+        termination = "abandoned" if abandoned(p) else None
+        if termination is None:
+            r = residual(p)
+            if not np.all(np.isfinite(r)):
+                raise ValidationError("residual is not finite at the initial guess")
+            cost = 0.5 * float(r @ r)
+            lam = LAMBDA_INIT
+        while termination is None:
+            J = jacobian(p)
+            g = J.T @ r
+            A = J.T @ J
+            diag = A.diagonal().tolist()
+            norms = [math.sqrt(ajj) * math.sqrt(2.0 * cost) for ajj in diag]  # ||J_j|| ||r||
+            # each cosine |J_j' r| / norms_j is 0 where J_j' r = 0 (a zero column,
+            # or r = 0) and inf where only norms_j is; a NaN one fails the test
+            if all(gj == 0.0 or nj and abs(gj) / nj <= GRADIENT_COS_TOL for gj, nj in zip(g.tolist(), norms)):
+                termination = "gradient"
+                break
+            if accepted_steps >= MAX_ITERATIONS:
+                termination = "max_iter"
+                break
+            damping = np.diag([1.0 if ajj <= 0.0 else ajj for ajj in diag])
+            step_floor = STEP_TOL * (np.linalg.norm(p) + STEP_TOL)
+            termination = "no_descent"  # unless a step is accepted below
+            while lam <= 1e15:
+                damped = A + lam * damping
+                try:
+                    step = np.linalg.solve(damped, -g)
+                except np.linalg.LinAlgError:
+                    step = np.linalg.lstsq(damped, -g, rcond=None)[0]
+                if not all(map(math.isfinite, step.tolist())):
+                    lam *= 10.0
+                    continue
+                trial = (p + step).clip(lo, hi)
+                moved = trial - p
+                if np.linalg.norm(moved) < step_floor:
+                    termination = "step"
+                    break
+                if abandoned(trial):
+                    termination = "abandoned"
+                    break
+                r_trial = residual(trial)
+                cost_trial = 0.5 * float(r_trial @ r_trial)
+                if not math.isfinite(cost_trial):  # a NaN or inf residual, or overflow
+                    cost_trial = math.inf
+                if cost_trial < cost:
+                    p, r, cost = trial, r_trial, cost_trial
+                    lam = max(lam / 10.0, 1e-14)
+                    accepted_steps += 1
+                    termination = None
+                    break
                 lam *= 10.0
-                continue
-            trial = (p + step).clip(lo, hi)
-            moved = trial - p
-            if np.linalg.norm(moved) < step_floor:
-                termination = "step"
-                break
-            if abandoned(trial):
-                termination = "abandoned"
-                break
-            r_trial = residual(trial)
-            cost_trial = 0.5 * float(r_trial @ r_trial)
-            if not math.isfinite(cost_trial):  # a NaN or inf residual, or overflow
-                cost_trial = math.inf
-            if cost_trial < cost:
-                p, r, cost = trial, r_trial, cost_trial
-                lam = max(lam / 10.0, 1e-14)
-                accepted_steps += 1
-                termination = None
-                break
-            lam *= 10.0
-    mean_sq = math.nan if r is None else float(r @ r) / r.size
-    try:
-        cond = math.nan if J is None or termination == "abandoned" else float(np.linalg.cond(J))
-    except np.linalg.LinAlgError:
-        cond = math.inf
+        mean_sq = math.nan if r is None else float(r @ r) / r.size
+        try:
+            cond = math.nan if J is None or termination == "abandoned" else float(np.linalg.cond(J))
+        except np.linalg.LinAlgError:
+            cond = math.inf
     return FitResult(
         params=p,
         mse=mean_sq,
@@ -453,8 +462,7 @@ def fit_sensitivity(table: SensitivityTable) -> tuple[SensitivityCoeffs, FitResu
     a0 = float(np.clip(math.exp(log_a0), 1e-8, 1e3))
 
     def residual(p):
-        with np.errstate(over="ignore"):  # an inf power gives an inf cost, which LM rejects
-            return p[0] * x ** p[1] + p[2] - y
+        return p[0] * x ** p[1] + p[2] - y
 
     def jacobian(p):
         power = x ** p[1]
@@ -521,6 +529,33 @@ def _probe_starts(volts: np.ndarray, piece: int, cells: int) -> list:
     return [i * piece for i in taken]
 
 
+@functools.lru_cache(maxsize=16, typed=True)  # typed: a float grid size still fails in geomspace
+def _grid_nodes(k_min, k_max, k_grid, gamma_min, gamma_max, gamma_grid):
+    """The grid's rate nodes and gamma nodes, log-spaced over the box, as read-only arrays.
+
+    Cached per box, so that a run of fits on one SearchConfig computes them once.
+    """
+    nodes = np.geomspace(k_min, k_max, k_grid), np.geomspace(gamma_min, gamma_max, gamma_grid)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
+def _smallest(values: np.ndarray, m: int) -> np.ndarray:
+    """Flat indices of the m smallest values, as np.argsort(values, axis=None, kind="stable")[:m].
+
+    np.partition finds the m-th smallest value, and only the entries not
+    above it are sorted: they hold the m smallest, and the stable sort
+    orders them by value, then by index, with NaN last, as the full sort
+    does.
+    """
+    flat = values.ravel()
+    if m >= flat.size:
+        return np.argsort(flat, kind="stable")
+    at = np.flatnonzero(~(flat > np.partition(flat, m - 1)[m - 1]))  # NaN entries too; they sort last
+    return at[np.argsort(flat[at], kind="stable")[:m]]
+
+
 def _grid_cells(
     measured: Trace,
     tx: TransmitterSpec,
@@ -535,11 +570,14 @@ def _grid_cells(
     and the sweep), sorted by MSE, ties broken by the smallest triple.
     Bhat = 0 gives Bhat^b = inf and so exactly 0 V, the model's B -> 0
     limit. A cell is left out where channel._defined fails at its largest
-    or its smallest positive B.
+    or its smallest positive B. That is evaluated only at the cells it
+    decides: the candidates, before tau is taken among them, and the cells
+    kept.
     """
     sens = sensor.sens
-    k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
-    g_nodes = np.geomspace(search.gamma_min, search.gamma_max, search.gamma_grid)
+    k_nodes, g_nodes = _grid_nodes(
+        search.k_min, search.k_max, search.k_grid, search.gamma_min, search.gamma_max, search.gamma_grid
+    )
     c0 = channel_mod.initial_concentration(dataclasses.replace(tx, gamma=1.0), s) * g_nodes
     offset = sens.c + sensor.rl / sensor.ro
     gain = sensor.ein * sensor.rl / sensor.ro
@@ -606,8 +644,9 @@ def _grid_cells(
             part -= meas
             run = np.empty((rows.size, 1 + -(-size // piece)))  # running SSE, piece by piece
             run[:, 0] = sums[g, live[rows]]
-            head = part[:, :whole].reshape(rows.size, -1, piece)
-            np.einsum("ijk,ijk->ij", head, head, out=run[:, 1 : 1 + whole // piece])
+            if whole:
+                head = part[:, :whole].reshape(rows.size, -1, piece)
+                np.einsum("ijk,ijk->ij", head, head, out=run[:, 1 : 1 + whole // piece])
             if whole < size:
                 np.einsum("ij,ij->i", part[:, whole:], part[:, whole:], out=run[:, -1])
             np.cumsum(run, axis=1, out=run)
@@ -637,11 +676,14 @@ def _grid_cells(
                 np.add(sums, probe_sums, out=sums, where=cells)
                 start = at + piece
 
-    def defined():
-        """The cells where channel._defined holds at their pair's peak and smallest positive Bhat as tracked."""
+    def defined(cells):
+        """cells, cleared where channel._defined fails at their pair's peak or smallest positive Bhat as tracked."""
+        g, p = np.nonzero(cells)
         # a pair with no positive Bhat has peak 0 and checks B = 0 at both ends
-        ends = c0[:, None, None] * np.stack((peak, np.minimum(low, peak)), axis=-1)
-        return channel_mod._defined(ends, sens.a * ends**sens.b + sens.c).all(axis=2)
+        ends = c0[g, None] * np.stack((peak[p], np.minimum(low[p], peak[p])), axis=-1)
+        ok = np.zeros_like(cells)
+        ok[g, p] = channel_mod._defined(ends, sens.a * ends**sens.b + sens.c).all(axis=1)
+        return ok
 
     top = search.refine_top
     with np.errstate(divide="ignore", over="ignore"):
@@ -650,9 +692,9 @@ def _grid_cells(
         sub = np.zeros_like(sse)
         add_pieces(times[::stride], meas_v[::stride], alive, sub)
         candidates = np.zeros_like(alive)
-        candidates.flat[np.argsort(sub, axis=None, kind="stable")[: 2 * top]] = True
+        candidates.flat[_smallest(sub, 2 * top)] = True
         add_trace(candidates, sse, np.inf, tracked=True)
-        best = np.sort(sse[candidates & defined()])
+        best = np.sort(sse[defined(candidates)])
         tau = best[top - 1] * (1.0 + _PRUNE_SLACK) if best.size >= top else np.inf
         bound = tau * (1.0 + _PRUNE_SLACK)
         alive = ~(sub > bound)
@@ -672,7 +714,7 @@ def _grid_cells(
             span = piece * (pairs // late.size)
             for start in range(0, n, span):
                 track(table(times[start : start + span], late), late)
-        ok = defined() & kept
+        ok = defined(kept)
     scores = np.where(ok, sse / n, np.inf).T.reshape(k, k, g_nodes.size)
     flat = scores.ravel()
     feasible_idx = np.flatnonzero(flat < np.inf)
@@ -917,7 +959,8 @@ def distance_trend(estimates) -> TrendReport:
     estimates is an iterable of (s, ChannelEstimate) pairs; at least two
     distinct distances are required. Duplicate distances are averaged
     (sample std, ddof = 1, reported as 0 for singletons). Verdicts classify
-    the per-distance means of k1, k2, and gamma.
+    the per-distance means of k1, k2, and gamma. A mean or std that is not
+    finite (values near the float maximum overflow) raises ValidationError.
     """
     groups: dict[float, list[ChannelEstimate]] = {}
     for s, est in estimates:
@@ -931,8 +974,12 @@ def distance_trend(estimates) -> TrendReport:
     columns, verdicts = {}, {}
     for name in ("k1", "k2", "gamma"):
         values = [np.array([getattr(e, name) for e in groups[s]], dtype=float) for s in distances]
-        columns[f"{name}_mean"] = means = [float(v.mean()) for v in values]
-        columns[f"{name}_std"] = [float(np.std(v, ddof=1)) if v.size > 1 else 0.0 for v in values]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            columns[f"{name}_mean"] = means = [float(v.mean()) for v in values]
+            columns[f"{name}_std"] = stds = [float(np.std(v, ddof=1)) if v.size > 1 else 0.0 for v in values]
+        for at, mean, std in zip(distances, means, stds):
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                raise ValidationError(f"{name} mean or std is not finite at s = {at!r} m: {mean!r}, {std!r}")
         verdicts[name] = _spread_verdict(np.array(means))
     rows = tuple(
         DistanceStats(s=s, n=len(groups[s]), **{key: col[i] for key, col in columns.items()})

@@ -161,18 +161,23 @@ def _bhat_rate_grad(k1, k2, t, c0, b, e1, e2, out):
     delta = k1 - k2
     k1c0 = k1 * c0
     cut = int(np.multiply(abs(delta), t, out=dk2).searchsorted(1e-2))
-    head, tail = t[:cut], t[cut:]
-    x = np.multiply(delta, head, out=dk2[:cut])  # until dphi is done
-    dphi = np.divide(x, 144.0, out=dk1[:cut])  # 0.5 + x (1/3 + x (1/8 + x (1/30 + x/144)))
-    for coef in (1.0 / 30.0, 1.0 / 8.0, 1.0 / 3.0):
-        np.add(coef, dphi, out=dphi)
-        np.multiply(x, dphi, out=dphi)
-    np.add(0.5, dphi, out=dphi)
-    lead = np.multiply(-k1c0, head, out=dk2[:cut])
-    lead *= head
-    lead *= e1[:cut]
-    lead *= dphi
-    rest = np.multiply(k1c0, tail, out=dk2[cut:])
+    # At t = 0 the series gives exactly -k1 c0 * 0.0; that sample, often the
+    # whole head, is written directly.
+    lo = 1 if cut and t[0] == 0.0 else 0
+    dk2[:lo] = -k1c0 * 0.0
+    if lo < cut:
+        head = t[lo:cut]
+        x = np.multiply(delta, head, out=dk2[lo:cut])  # until dphi is done
+        dphi = np.divide(x, 144.0, out=dk1[lo:cut])  # 0.5 + x (1/3 + x (1/8 + x (1/30 + x/144)))
+        for coef in (1.0 / 30.0, 1.0 / 8.0, 1.0 / 3.0):
+            np.add(coef, dphi, out=dphi)
+            np.multiply(x, dphi, out=dphi)
+        np.add(0.5, dphi, out=dphi)
+        lead = np.multiply(-k1c0, head, out=dk2[lo:cut])
+        lead *= head
+        lead *= e1[lo:cut]
+        lead *= dphi
+    rest = np.multiply(k1c0, t[cut:], out=dk2[cut:])
     rest *= e2[cut:]
     rest -= b[cut:]
     rest /= -delta

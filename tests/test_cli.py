@@ -203,6 +203,17 @@ def test_fit_sensitivity_underdetermined_table(tmp_path, capsys):
     assert "under-determined" in capsys.readouterr().err
 
 
+def test_fit_sensitivity_with_overflowing_residuals_exits_2_and_warns_nothing(tmp_path, capsys):
+    # LM's trial costs overflow on this table; the fitted curve is refused
+    path = tmp_path / "tab.csv"
+    rows = ("3.2e-188,1.02", "1.16e-183,4.62", "6.4e-109,-4.28", "4.1e46,-0.00027", "3.3e103,2.44")
+    path.write_text("concentration_kg_m3,rs_over_ro\n" + "\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under -W error
+        assert run(["fit-sensitivity", path]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: sensitivity must stay positive")
+
+
 def test_trend_pipeline(tmp_path, capsys):
     est_dir = tmp_path / "estimates"
     est_dir.mkdir()
@@ -266,6 +277,20 @@ def test_trend_refuses_wrong_json_types(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "b.json" in err and f"{key} must be" in err
+    assert not out_csv.exists()
+
+
+def test_trend_refuses_means_that_overflow(tmp_path, capsys):
+    # valid estimates near the float maximum: the k1 mean at s = 1 overflows
+    est_dir = tmp_path / "estimates"
+    est_dir.mkdir()
+    for name, s, k1 in (("a.json", 1, 1e308), ("b.json", 1, 1.7e308), ("c.json", 2, 2.0)):
+        (est_dir / name).write_text(json.dumps({"s": s, "k1": k1, "k2": 0.5, "gamma": 3.0}))
+    out_csv = tmp_path / "trend.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under -W error
+        assert run(["trend", est_dir, "--out", out_csv]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: k1 mean or std is not finite at s = 1.0 m: inf, inf\n"
     assert not out_csv.exists()
 
 

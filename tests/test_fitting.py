@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import _fd_jacobian
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spraylink import channel, fitting, kinetics
 from spraylink.channel import response_voltages, sample_response
@@ -827,6 +829,48 @@ def test_grid_scoring_memory_is_bounded(bench_tx, bench_sensor):
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000, search.refine_top
+
+
+_SELECT_VALUES = st.one_of(
+    st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 0.5, 2.0, math.inf, math.nan]),  # ties
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SELECT_VALUES, min_size=1, max_size=64), st.integers(1, 70), st.booleans())
+def test_smallest_selects_as_the_full_stable_sort(values, m, square):
+    # ties, -0.0 beside 0.0, +-inf, NaN, m at or above the size, and 2-D input
+    a = np.array(values)
+    if square and a.size % 4 == 0:
+        a = a.reshape(4, -1)
+    assert np.array_equal(fitting._smallest(a, m), np.argsort(a, axis=None, kind="stable")[:m])
+
+
+_BOX_FIELDS = ("k_min", "k_max", "k_grid", "gamma_min", "gamma_max", "gamma_grid")
+
+
+def test_grid_nodes_are_read_only_and_keyed_on_the_whole_box(bench_tx, bench_sensor):
+    def nodes(search):
+        return fitting._grid_nodes(*(getattr(search, name) for name in _BOX_FIELDS))
+
+    k, g = nodes(_DEFAULT)
+    assert nodes(SearchConfig())[0] is k  # cached
+    for a in (k, g):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    for name, value in zip(_BOX_FIELDS, (0.1, 40.0, 12, 1.5, 20.0, 9)):
+        search = dataclasses.replace(_DEFAULT, **{name: value})
+        k, g = nodes(search)
+        assert np.array_equal(k, np.geomspace(search.k_min, search.k_max, search.k_grid)), name
+        assert np.array_equal(g, np.geomspace(search.gamma_min, search.gamma_max, search.gamma_grid)), name
+    # two searches that differ only in gamma_grid score different gamma nodes
+    trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, np.linspace(0.0, 10.0, 1001))
+    for gamma_grid in (3, 4):
+        search = dataclasses.replace(_SMALL_GRID, gamma_grid=gamma_grid)
+        cells = fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _full(search))
+        assert np.array_equal(np.unique(cells[:, 3]), np.geomspace(1.0, 25.0, gamma_grid))
 
 
 def _criterion_07_traces(bench_tx, bench_sensor):

@@ -177,6 +177,28 @@ def test_bhat_rate_derivative_across_its_two_forms():
         np.testing.assert_array_equal(dk1, b * (1.0 / k1 - t) - dk2)
 
 
+def test_bhat_rate_derivative_series_head_bit_for_bit():
+    # dB/dk2 on the series head, in the kernel's operation order, sign of
+    # zero included: at t = 0 it is -0.0, and there the head is often that
+    # one sample; traces that start at 0 and after it
+    for t in (np.linspace(0.0, 10.0, 1001), np.linspace(0.003, 10.0, 1001)):
+        for k1, k2 in ((2.0, 0.5), (0.5, 2.0), (2.0, 1.995), (1.0, 1.0)):
+            for c0 in (1.0, 1.3602e-3, 0.0):
+                b = bound_concentration(c0, KineticsParams(k1, k2), t)
+                e1 = np.exp(-k1 * t)
+                out = np.empty_like(b), np.empty_like(b)
+                dk1, dk2 = kinetics._bhat_rate_grad(k1, k2, t, c0, b, e1, np.exp(-k2 * t), out)
+                cut = int(np.searchsorted(abs(k1 - k2) * t, 1e-2))
+                x = (k1 - k2) * t
+                dphi = x / 144.0
+                for coef in (1.0 / 30.0, 1.0 / 8.0, 1.0 / 3.0):
+                    dphi = x * (coef + dphi)
+                ref = -(k1 * c0) * t * t * e1 * (0.5 + dphi)
+                assert cut >= 1
+                assert np.array_equal(dk2[:cut].view(np.int64), ref[:cut].view(np.int64)), (k1, k2, c0)
+                np.testing.assert_array_equal(dk1, b * (1.0 / k1 - t) - dk2)
+
+
 def test_bhat_pairs_equal_the_full_table_bit_for_bit():
     # near-confluent, diagonal and distinct pairs, in a scattered order
     k = np.array([0.5, 1.0, 1.0 + 1e-7, 2.0, 50.0])
