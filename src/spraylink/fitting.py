@@ -39,38 +39,56 @@ LM refines only the refine_top best grid cells, so the grid scores in full
 only the cells that can still finish among them. It abandons the others
 early, as in squared-distance search (Rakthanmanon et al., "Searching and
 mining trillions of time series subsequences under dynamic time warping",
-KDD 2012), with a bound that is exact, and as there it scores first the
-samples most likely to push a cell past the bound. A pre-pass scores every
-cell on the samples times[::ceil(n / L)], at most one piece. Its
-2 refine_top best cells, the candidates, are those of a stable sort of the
-pre-pass sums (ties to the lower cell index, NaN last), found by
-np.partition and a sort of only the sums at or below its cut. They are
-scored over the whole trace in whole-piece kernel calls, and their
-feasibility is judged from the Bhat ends those calls track; no other call
-tracks them. tau, the
+KDD 2012), with bounds that are exact, and as there a cheap lower bound
+comes before the costly sum. A pre-pass scores every cell on the samples
+times[::stride], stride = ceil(n / L), at most one piece. Its 2 refine_top
+best cells, the candidates, are those of a stable sort of the pre-pass
+sums (ties to the lower cell index, NaN last), found by np.partition and a
+sort of only the sums at or below its cut. They are scored over the whole
+trace in whole-piece kernel calls, and their feasibility is judged from
+the Bhat ends those calls track; no other call tracks them. tau, the
 refine_top-th smallest feasible sum of squared errors (SSE) among them
-times 1 + _PRUNE_SLACK (inf with fewer), bounds the refine_top-th best
-SSE from above. With bound =
-tau (1 + _PRUNE_SLACK), a candidate is kept if its SSE is at most tau and
-its pre-pass SSE at most bound, and is not scored again. Any other cell is
-dropped once its pre-pass SSE exceeds bound. The rest are scored on the
-probe pieces (_probe_starts), one kernel call each, and dropped once the
-sum of their probe sums exceeds bound. The sweep then scores the live
-cells in time order, in calls that stop before each probe piece, adds the
-stored probe sums where it reaches them, and drops a cell once its
-running SSE plus the probe sums still ahead exceeds bound; it ends once no
-cell is live, and a cell live to the end is kept only if it scores at most
+times 1 + _PRUNE_SLACK (inf with fewer), bounds the refine_top-th best SSE
+from above. With bound = tau (1 + _PRUNE_SLACK), a candidate is kept if
+its SSE is at most tau and its pre-pass SSE at most bound, and is not
+scored again. Any other cell is dropped once its pre-pass SSE exceeds
+bound, and then once that plus its envelope bound (below) does. The sweep
+scores the cells left in time order and drops a cell once its running SSE
+exceeds bound; a cell live to the end is kept only if it scores at most
 tau. A kept cell whose rate pair has no candidate cell is judged from one
 more pass over that pair's Bhat, in whole-piece calls, which give the same
-floats. Squared errors are >= 0, so a sum over a subset of the samples is
-at most the sum over all of them (the two round differently, by far less
-than the slack), and no cell that scores at most tau is dropped. Every
-kept SSE adds the same piece sums in time order as one call per piece
-would, so the kept cells, and their scores bit for bit, are a prefix of
-the full grid's that holds at least the refine_top best; with refine_top
-at least the feasible cells, tau is at least every score and the prefix
-is the whole grid. A cell may be dropped a few pieces after its SSE passed
-tau; that costs work, not exactness.
+floats. Every kept SSE adds the same piece sums in time order as one call
+per piece would, so the kept cells, and their scores bit for bit, are a
+prefix of the full grid's that holds at least the refine_top best; with
+refine_top at least the feasible cells, tau is at least every score and
+the prefix is the whole grid.
+
+The envelope bound is the piecewise aggregate bound of Keogh et al.,
+"Dimensionality reduction for fast similarity search in large time series
+databases" (KAIS 2001). The c = stride - 1 samples between two consecutive
+pre-pass samples form a block (later samples add nothing). A cell's volts
+G / (s Bhat^b + o) rise with Bhat wherever s Bhat^b + o > 0 (G, s > 0,
+b < 0), and Bhat is unimodal with its peak at ln(k1 / k2) / (k1 - k2), or
+1 / k1 where k1 = k2. So in a block the model lies in [lo, hi], its values
+at the block's ends, and by Cauchy-Schwarz the samples, of mean mu, add at
+least c dist(mu, [lo, hi])^2 to the SSE. A block that holds the peak, or
+whose ends are both below 2^-1000 (they count as 0, as subnormal rounding
+is absolute), takes hi = G / o, the model's supremum as Bhat grows without
+bound; hi = inf where the widened end gives s Bhat^b + o <= 0 or o <= 0.
+The widening covers how far the computed Bhat departs from monotone: eps
+(1 + k t) from the exp(-k t) rows, times about 1 / (|k1 - k2| t) in the
+two-exponential form (as in _bhat_rate_grad), used only where
+|k1 - k2| >= CONFLUENT_REL_TOL k_min. Each block's end Bhat^b take the
+factors (1 -/+ m)^b (1 +/- 2^-46), which also cover the power's rounding,
+with m = 2^-44 (1 + k_max t1)(1 + 1 / (CONFLUENT_REL_TOL k_min t0)), t0 and
+t1 the block's first positive and last times: about 40 times the departure
+at both ends; m >= 1 leaves hi = G / o. lo and hi then follow by the SSE's
+own floating-point operations, which are monotone, and mu is widened by
+2^-50 times the block's sum of |v|, over its rounding. Every 8th block is
+bounded first, then every block for the cells left. Squared errors are
+>= 0, so a sum over a subset of the samples, or such a bound, is at most
+the sum over all of them (the two round differently, by far less than the
+slack), and no cell that scores at most tau is dropped.
 
 LM stops on MINPACK's scale-free gradient test: once every column of J is
 within GRADIENT_COS_TOL of orthogonal to r, further steps change the cost
@@ -124,9 +142,6 @@ _GRID_BLOCK_ELEMENTS = 2**15
 
 # Relative slack of the grid's pruning bound over the rounding of its sums.
 _PRUNE_SLACK = 1e-9
-
-# Most whole pieces the grid scores ahead of its sweep in time order.
-_PROBES = 8
 
 # Most grid cells a search may ask for. The grid keeps a few float64 arrays
 # of one entry per cell, so this caps them at a few hundred MB.
@@ -507,28 +522,6 @@ def canonicalize(k1: float, k2: float, gamma: float, gamma_min: float = 1.0):
     return k1, k2, gamma, False
 
 
-def _probe_starts(volts: np.ndarray, piece: int, cells: int) -> list:
-    """First samples of the whole pieces that the grid scores ahead of its sweep, in that order.
-
-    The whole pieces are ranked by their sum of squared measured volts, and
-    a piece within whole // _PROBES pieces of one taken is passed over. At
-    most whole // 4 pieces are taken, so that a trace of few pieces has
-    none, and at most _PROBES and _GRID_BLOCK_ELEMENTS // cells, so that
-    their stored sums take no more than one kernel call's scratch.
-    """
-    whole = volts.size // piece
-    head = volts[: whole * piece].reshape(whole, piece)
-    count = min(_PROBES, whole // 4, _GRID_BLOCK_ELEMENTS // cells)
-    gap = max(1, whole // _PROBES)
-    taken = []
-    for i in np.argsort(-np.einsum("ij,ij->i", head, head), kind="stable"):
-        if len(taken) == count:
-            break
-        if all(abs(i - j) >= gap for j in taken):
-            taken.append(i)
-    return [i * piece for i in taken]
-
-
 @functools.lru_cache(maxsize=16, typed=True)  # typed: a float grid size still fails in geomspace
 def _grid_nodes(k_min, k_max, k_grid, gamma_min, gamma_max, gamma_grid):
     """The grid's rate nodes and gamma nodes, log-spaced over the box, as read-only arrays.
@@ -556,6 +549,66 @@ def _smallest(values: np.ndarray, m: int) -> np.ndarray:
     return at[np.argsort(flat[at], kind="stable")[:m]]
 
 
+@np.errstate(divide="ignore", over="ignore")
+def _envelope_blocks(times, volts, stride, k_nodes, live, bhat, b):
+    """The envelope bound's terms (module doc) for the blocks between the samples times[::stride].
+
+    stride >= 2, and there are 2 or more such samples. bhat holds Bhat there
+    for the rate pairs live (k1 node * k_nodes.size + k2 node), one row
+    each, and is overwritten by Bhat^b. Returns, with the block on the last
+    axis: the left and right ends' Bhat^b and no_hi (no upper end) per pair,
+    the widened (lo - mu, mu - hi) shift and the margin factors on the
+    (larger, smaller) end Bhat^b.
+    """
+    at = times[::stride]
+    inner = volts[: (at.size - 1) * stride].reshape(-1, stride)[:, 1:]
+    mean, slack = inner.sum(axis=1) / (stride - 1), 2.0**-50 * np.abs(inner).sum(axis=1)
+    shift = np.stack((-(mean + slack), mean - slack))
+    t0 = np.where(at[:-1] > 0.0, at[:-1], times[1])
+    m = 2.0**-44 * (1.0 + k_nodes[-1] * at[1:]) * (1.0 + 1.0 / (kin_mod.CONFLUENT_REL_TOL * k_nodes[0] * t0))
+    factor = np.stack((np.maximum(1.0 - m, 0.0) ** b, np.where(m < 1.0, (1.0 + m) ** b, 0.0)))
+    factor *= [[1.0 + 2.0**-46], [1.0 - 2.0**-46]]
+    k1, k2 = k_nodes[live // k_nodes.size], k_nodes[live % k_nodes.size]
+    delta = np.abs(k1 - k2)
+    peak_t = np.divide(np.log1p(delta / np.minimum(k1, k2)), delta, out=1.0 / k1, where=delta > 0.0)[:, None]
+    small = bhat < 2.0**-1000
+    no_hi = small[:, :-1] & small[:, 1:] | (at[:-1] < peak_t * (1.0 + 2.0**-40)) & (at[1:] > peak_t * (1.0 - 2.0**-40))
+    bhat[small] = 0.0
+    np.power(bhat, b, out=bhat)
+    return bhat[:, :-1], bhat[:, 1:], no_hi, shift, factor
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a NaN bound (0 * inf) drops no cell
+def _envelope_bound(blocks, rows, slope, offset, gain, c, work):
+    """Per cell of volts gain / (slope[i] Bhat^b + offset), the sum of c dist(mu, [lo, hi])^2 over blocks.
+
+    blocks is _envelope_blocks' terms or a slice of their last axis, and
+    cell i reads their pair row rows[i]. work is the scratch, four floats
+    per cell and block, in as many groups of cells as it needs.
+    """
+    left, right, no_hi, shift, factor = blocks
+    width = shift.shape[-1]
+    out = np.empty(rows.size)
+    step = work.size // (4 * width)
+    for a in range(0, rows.size, step):
+        chunk = slice(a, a + step)
+        x, part = work[: 4 * rows[chunk].size * width].reshape(2, -1, 2, width)
+        np.take(left, rows[chunk], axis=0, out=x[:, 0])
+        np.take(right, rows[chunk], axis=0, out=x[:, 1])
+        np.maximum(x[:, 0], x[:, 1], out=part[:, 0])  # Bhat^b falls as Bhat rises
+        np.minimum(x[:, 0], x[:, 1], out=part[:, 1])
+        np.copyto(part[:, 1], 0.0, where=no_hi[rows[chunk]])
+        part *= factor
+        part *= slope[chunk, None, None]
+        part += offset
+        np.maximum(part[:, 1], 0.0, out=part[:, 1])  # at or past the pole: hi = inf
+        np.divide([[gain], [-gain]], part, out=part)
+        part += shift
+        np.maximum(part, 0.0, out=part)
+        out[chunk] = c * np.einsum("ijk,ijk->i", part, part)
+    return out
+
+
 def _grid_cells(
     measured: Trace,
     tx: TransmitterSpec,
@@ -566,13 +619,13 @@ def _grid_cells(
     """Score the coarse (k1, k2, gamma) grid against a trace, pruned to search.refine_top.
 
     Returns one row (mse, k1, k2, gamma) per feasible cell kept (see the
-    module doc for the pieces, the kernel calls, the candidates, the probes
-    and the sweep), sorted by MSE, ties broken by the smallest triple.
-    Bhat = 0 gives Bhat^b = inf and so exactly 0 V, the model's B -> 0
-    limit. A cell is left out where channel._defined fails at its largest
-    or its smallest positive B. That is evaluated only at the cells it
-    decides: the candidates, before tau is taken among them, and the cells
-    kept.
+    module doc for the pieces, the kernel calls, the candidates, the
+    envelope and the sweep), sorted by MSE, ties broken by the smallest
+    triple. Bhat = 0 gives Bhat^b = inf and so exactly 0 V, the model's
+    B -> 0 limit. A cell is left out where channel._defined fails at its
+    largest or its smallest positive B. That is evaluated only at the cells
+    it decides: the candidates, before tau is taken among them, and the
+    cells kept.
     """
     sens = sensor.sens
     k_nodes, g_nodes = _grid_nodes(
@@ -652,29 +705,20 @@ def _grid_cells(
             np.cumsum(run, axis=1, out=run)
             sums[g, live[rows]] = run[:, -1]
 
-    def add_trace(cells, sums, bound, probes=(), tracked=False):
+    def add_trace(cells, sums, bound, tracked=False):
         """Add the squared errors over the whole trace of the cells set in cells to sums.
 
-        probes lists (first sample, piece sums) of the pieces already scored,
-        in time order: their sums are added where the sweep reaches them.
-        Each add_pieces call spans as many whole pieces as bhat_buf holds for
-        the live pairs, up to the next probe piece; after each, a cell whose
-        running sum plus the probe sums still ahead exceeds bound is cleared
-        from cells. The sweep ends once no cell is live. tracked is passed
-        to add_pieces.
+        Each add_pieces call (tracked is passed on) spans as many whole pieces
+        as bhat_buf holds for the live pairs; after each, a cell whose running
+        sum exceeds bound is cleared from cells, until none is live.
         """
         start = 0
-        for i, (at, probe_sums) in enumerate([*probes, (n, None)]):
-            ahead = sum(p for _, p in probes[i:])  # 0 once no probe is ahead
-            while start < at and cells.any():
-                live = np.count_nonzero(cells.any(axis=0))
-                stop = min(start + piece * (pairs // live), at)
-                add_pieces(times[start:stop], meas_v[start:stop], cells, sums, tracked)
-                cells &= ~(sums + ahead > bound)
-                start = stop
-            if probe_sums is not None:
-                np.add(sums, probe_sums, out=sums, where=cells)
-                start = at + piece
+        while start < n and cells.any():
+            live = np.count_nonzero(cells.any(axis=0))
+            stop = min(start + piece * (pairs // live), n)
+            add_pieces(times[start:stop], meas_v[start:stop], cells, sums, tracked)
+            cells &= ~(sums > bound)
+            start = stop
 
     def defined(cells):
         """cells, cleared where channel._defined fails at their pair's peak or smallest positive Bhat as tracked."""
@@ -699,15 +743,15 @@ def _grid_cells(
         bound = tau * (1.0 + _PRUNE_SLACK)
         alive = ~(sub > bound)
         scored = alive & ~candidates  # the candidates have their SSE already
-        probes = []
-        for at in _probe_starts(meas_v, piece, sse.size):
-            if not scored.any():
-                break
-            probe_sums = np.zeros_like(sse)
-            add_pieces(times[at : at + piece], meas_v[at : at + piece], scored, probe_sums)
-            probes.append((at, probe_sums))
-            scored &= ~(sum(p for _, p in probes) > bound)
-        add_trace(scored, sse, bound, sorted(probes, key=lambda probe: probe[0]))
+        if bound < np.inf and scored.any() and n > stride > 1:  # the envelope: samples lie between pre-pass ones
+            live = np.flatnonzero(scored.any(axis=0))
+            blocks = _envelope_blocks(times, meas_v, stride, k_nodes, live, table(times[::stride], live), sens.b)
+            for use, into in ((slice(0, None, 8), sub.copy()), (slice(None), sub)):  # every 8th block first
+                g, rows = np.nonzero(scored[:, live])
+                part = tuple(term[..., use] for term in blocks)
+                into[g, live[rows]] += _envelope_bound(part, rows, slope[g], offset, gain, stride - 1, block_buf)
+                scored &= ~(into > bound)
+        add_trace(scored, sse, bound)
         kept = (scored | alive & candidates) & ~(sse > tau)
         late = np.flatnonzero(kept.any(axis=0) & ~candidates.any(axis=0))
         if late.size:  # kept pairs with no candidate: their range over the whole trace

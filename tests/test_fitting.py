@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import _fd_jacobian
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spraylink import channel, fitting, kinetics
@@ -480,14 +480,13 @@ def test_estimate_noisy_recovery(bench_tx, bench_sensor):
     assert est.mse < 2e-4  # about sigma^2
 
 
-def _reference_grid_cells(trace, tx, sensor, s, search):
-    """The grid scored one response_voltages call per cell, refusals skipped."""
+def _reference_cell_volts(trace, tx, sensor, s, search):
+    """((k1 node, k2 node, gamma node), volts) per cell, one response_voltages call each, refusals skipped."""
     k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
     g_nodes = np.geomspace(search.gamma_min, search.gamma_max, search.gamma_grid)
-    cells = []
-    for k1 in k_nodes:
-        for k2 in k_nodes:
-            for gamma in g_nodes:
+    for i, k1 in enumerate(k_nodes):
+        for j, k2 in enumerate(k_nodes):
+            for g, gamma in enumerate(g_nodes):
                 try:
                     with np.errstate(over="ignore"):
                         v = response_voltages(
@@ -499,8 +498,17 @@ def _reference_grid_cells(trace, tx, sensor, s, search):
                         )
                 except ValidationError:
                     continue
-                diff = v - trace.volts
-                cells.append((float(diff @ diff) / diff.size, k1, k2, gamma))
+                yield (i, j, g), v
+
+
+def _reference_grid_cells(trace, tx, sensor, s, search):
+    """The grid scored one response_voltages call per cell, refusals skipped."""
+    k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
+    g_nodes = np.geomspace(search.gamma_min, search.gamma_max, search.gamma_grid)
+    cells = []
+    for (i, j, g), v in _reference_cell_volts(trace, tx, sensor, s, search):
+        diff = v - trace.volts
+        cells.append((float(diff @ diff) / diff.size, k_nodes[i], k_nodes[j], g_nodes[g]))
     cells.sort()
     return np.array(cells)
 
@@ -567,9 +575,10 @@ _GRID_CASES = [
     pytest.param(
         2.0, 0.5, 3.0, 1.0, 10.0, 20 * _CHUNK + 77, None, _TOP1, id="top1_short_last_piece"
     ),
-    # probes: the most energy in the last whole piece, too few whole pieces
-    # for a probe and just enough for one, refine_top = 1, and probes that
-    # score cells which the tail's steep overflow then refuses
+    # odd piece counts, named for the probe pieces that the envelope bound
+    # replaced: a peak late in the trace, 3 whole pieces and a short one,
+    # exactly 4, refine_top = 1, and a steep tail whose overflow refuses
+    # cells that the bounds leave to the sweep
     pytest.param(
         *_LATE_K, 3.0, 1.0, 14.0, 8 * _CHUNK + 77, None, _DEFAULT, id="late_peak_probes"
     ),
@@ -579,7 +588,7 @@ _GRID_CASES = [
     pytest.param(
         2.0, 0.5, 3.0, 1.0, 10.0, 20 * _CHUNK + 77, _STEEP, _DEFAULT, id="steep_probes"
     ),
-    # the sweep, past the probes, scores kept cells
+    # the sweep scores kept cells beyond the candidates
     pytest.param(
         *_SWEPT_K, 1.0, 1.0, 10.0, 5001, None, _DEFAULT, id="kept_beyond_candidates"
     ),
@@ -660,11 +669,6 @@ def test_pruned_grid_is_a_prefix_of_the_full_grid(
             assert len(pruned) < len(full) // 10  # the bound prunes
         if (k1, k2) == _SWEPT_K and keep == 1:
             assert len(pruned) > 2  # more kept cells than the pre-pass's 2 candidates
-    piece = fitting._GRID_BLOCK_ELEMENTS // search.k_grid**2
-    probes = fitting._probe_starts(trace.volts, piece, search.k_grid**2 * search.gamma_grid)
-    assert (len(probes) > 0) == (n // piece >= 4)
-    if (k1, k2) == _LATE_K:
-        assert probes[0] == 7 * _CHUNK  # the last whole piece
     # with refine_top at least the feasible cells, tau is inf or above every score
     exact = dataclasses.replace(search, refine_top=len(full))
     assert np.array_equal(fitting._grid_cells(trace, bench_tx, sensor, s, exact), full)
@@ -686,44 +690,119 @@ def test_pruned_grid_evaluates_under_two_fifths_of_bhat(bench_tx, bench_sensor, 
     assert sum(work) < 0.4 * _DEFAULT.k_grid**2 * n
 
 
-def test_pruned_grid_scores_whole_pieces_per_kernel_call(bench_tx, bench_sensor, monkeypatch):
-    # one kernel call per piece of _CHUNK samples made 158 calls of the
-    # rate-node table here; a call now spans as many pieces as the live rate
-    # pairs fill. After the pre-pass, the candidates cover the whole trace.
-    # Each probe scores one whole piece, and the sweep scores the other cells
-    # in time order, never over a probe piece, until none is live.
-    n = 20001
-    times = np.arange(n) * 0.0005
-    trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, times)
+@pytest.mark.parametrize(
+    "n, dt, most, calls", [(1001, 0.01, 0.25, 5), (20001, 0.0005, 0.08, 12)], ids=["fit_1k", "fit_20k"]
+)
+def test_envelope_leaves_the_sweep_few_cells(bench_tx, bench_sensor, monkeypatch, n, dt, most, calls):
+    # Bhat work measured with the envelope: 0.192 and 0.052 of k_grid^2 n, in
+    # 3 and 9 kernel calls; the probe pieces before it made 0.295 and 0.143,
+    # in 30 calls at 20001 samples
+    trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, np.arange(n) * dt)
     bhat = kinetics._bhat
-    calls = []  # (first sample, samples) per call of the table, the pre-pass first
+    work = []
 
-    def counted(k, t, *args, **kwargs):
-        if np.size(k) == _DEFAULT.k_grid:
-            calls.append((int(np.searchsorted(times, t[0])), np.size(t)))
-        return bhat(k, t, *args, **kwargs)
+    def counted(k, t, *args, pairs=None, **kwargs):
+        work.append((np.size(k) ** 2 if pairs is None else pairs[0].size) * np.size(t))
+        return bhat(k, t, *args, pairs=pairs, **kwargs)
 
     monkeypatch.setattr(kinetics, "_bhat", counted)
     fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT)
-    assert len(calls) <= 40
-    assert calls[0][0] == 0 and calls[0][1] <= _CHUNK
-    starts, sizes = np.array(calls[1:]).T
-    split = np.searchsorted(np.cumsum(sizes), n) + 1
-    assert sum(sizes[:split]) == n and starts[0] == 0
-    assert np.array_equal(starts[1:split], np.cumsum(sizes[: split - 1]))  # in time order,
-    assert all(size % _CHUNK == 0 for size in sizes[: split - 1])  # in whole pieces,
-    assert sizes[split - 1] > _CHUNK and sizes[split - 1] % _CHUNK == n % _CHUNK  # a short one
-    probes = fitting._probe_starts(trace.volts, _CHUNK, _DEFAULT.k_grid**2 * _DEFAULT.gamma_grid)
-    assert len(probes) == fitting._PROBES
-    assert calls[1 + split : 1 + split + len(probes)] == [(at, _CHUNK) for at in probes]
-    sweep = calls[1 + split + len(probes) :]
+    assert sum(work) < most * _DEFAULT.k_grid**2 * n
+    assert len(work) <= calls
+
+
+# consecutive rate nodes 1.5e-6 apart, relative: just outside CONFLUENT_REL_TOL,
+# where the two-exponential Bhat cancels the most
+_NEAR_CONFLUENT = SearchConfig(k_min=1.0, k_max=(1.0 + 1.5e-6) ** 15)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    search=st.sampled_from([_DEFAULT, _NEAR_CONFLUENT]),
+    steep=st.booleans(),
+    truth=st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(0, 7)),  # grid nodes
+    s=st.sampled_from([0.5, 1.0]),
+    t_end=st.sampled_from([2.0, 10.0, 100.0]),  # at 100 s the fast pairs' tails underflow
+    window=st.sampled_from([None, 1e-4, 1e-5]),  # or a window this wide, relative, about the peak
+    n=st.integers(129, 2000),  # the stride is 2 to 16, and rarely divides n - 1
+    sigma=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 1e-2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the block that holds the peak rises above both its ends
+@example(search=_DEFAULT, steep=False, truth=(10, 6, 3), s=1.0, t_end=10.0, window=None, n=1001, sigma=1e-6, seed=1)
+# about the peak, Bhat is flat within the rounding of its near-confluent form
+@example(search=_NEAR_CONFLUENT, steep=True, truth=(7, 9, 3), s=1.0, t_end=2.0, window=1e-4, n=2000, sigma=1e-12, seed=1)
+@example(search=_NEAR_CONFLUENT, steep=True, truth=(3, 4, 3), s=1.0, t_end=2.0, window=1e-5, n=2000, sigma=1e-12, seed=1)
+def test_envelope_bound_never_exceeds_a_cells_sse(
+    bench_tx, bench_sensor, search, steep, truth, s, t_end, window, n, sigma, seed
+):
+    sensor = dataclasses.replace(bench_sensor, sens=_STEEP) if steep else bench_sensor
+    k_nodes = np.geomspace(search.k_min, search.k_max, search.k_grid)
+    g_nodes = np.geomspace(search.gamma_min, search.gamma_max, search.gamma_grid)
+    rates = KineticsParams(k_nodes[truth[0]], k_nodes[truth[1]])
+    if window is None:
+        times = np.linspace(0.0, t_end, n)
+    else:
+        times = kinetics.peak_time(rates) * (1.0 + window * np.linspace(-1.0, 1.0, n))
+    try:
+        clean = sample_response(dataclasses.replace(bench_tx, gamma=g_nodes[truth[2]]), rates, sensor, s, times).volts
+    except ValidationError:  # the steep curve refuses the truth: fit noise about 0 V
+        clean = np.zeros(n)
+    trace = Trace(times, clean + np.random.default_rng(seed).normal(0.0, sigma, n))
+    # the grid's pre-pass stride, and Bhat of every rate pair at its samples
+    k = search.k_grid
+    stride = -(-n // (fitting._GRID_BLOCK_ELEMENTS // k**2))
+    at = times[::stride]
+    bhat = kinetics._bhat(k_nodes, at, np.empty((k, k, at.size))).reshape(k * k, at.size)
+    blocks = fitting._envelope_blocks(times, trace.volts, stride, k_nodes, np.arange(k * k), bhat, sensor.sens.b)
+    # the defined cells' volts, and the grid's affine map of Bhat^b for them
+    nodes, volts = zip(*_reference_cell_volts(trace, bench_tx, sensor, s, search))
+    i, j, g = np.array(nodes).T
+    c0 = channel.initial_concentration(dataclasses.replace(bench_tx, gamma=1.0), s) * g_nodes
+    slope = sensor.sens.a * c0**sensor.sens.b
+    offset = sensor.sens.c + sensor.rl / sensor.ro
+    gain = sensor.ein * sensor.rl / sensor.ro
+    bound = fitting._envelope_bound(blocks, i * k + j, slope[g], offset, gain, stride - 1, np.empty(2**15))
+    # the bound covers the samples between consecutive pre-pass samples
+    index = np.arange(n)
+    inner = (index % stride > 0) & (index < (at.size - 1) * stride)
+    diff = (np.array(volts) - trace.volts)[:, inner]
+    sse = np.einsum("ij,ij->i", diff, diff)
+    assert not np.any(bound > sse * (1.0 + fitting._PRUNE_SLACK))
+
+
+def test_pruned_grid_scores_whole_pieces_per_kernel_call(bench_tx, bench_sensor, monkeypatch):
+    # one kernel call per piece of _CHUNK samples made 158 calls of the
+    # rate-node table here; a call now spans as many pieces as the live rate
+    # pairs fill. After the pre-pass, the candidates cover the whole trace in
+    # time order; one call at the pre-pass samples bounds the other cells
+    # (the envelope), and the sweep scores the cells it leaves in time order.
+    n = 20001
+    times = np.arange(n) * 0.0005
+    trace = _noisy_trace(bench_tx, bench_sensor, 3.0, 0.5, 2.0, 0.9, times)
+    prepass = times[:: -(-n // _CHUNK)]
+    bhat = kinetics._bhat
+    calls = []  # (first sample, samples) per call of the table, or "pre-pass" at its samples
+
+    def counted(k, t, *args, **kwargs):
+        if np.size(k) == _DEFAULT.k_grid:
+            calls.append("pre-pass" if np.array_equal(t, prepass) else (int(np.searchsorted(times, t[0])), np.size(t)))
+        return bhat(k, t, *args, **kwargs)
+
+    monkeypatch.setattr(kinetics, "_bhat", counted)
+    fitting._grid_cells(trace, bench_tx, bench_sensor, 0.9, _DEFAULT)
+    assert len(calls) <= 12
+    envelope = calls.index("pre-pass", 1)
+    assert calls[0] == "pre-pass" and calls.count("pre-pass") == 2  # the pre-pass, then one envelope call
+    starts, sizes = np.array(calls[1:envelope]).T  # the candidates'
+    assert sum(sizes) == n and starts[0] == 0
+    assert np.array_equal(starts[1:], np.cumsum(sizes[:-1]))  # in time order,
+    assert all(size % _CHUNK == 0 for size in sizes[:-1])  # in whole pieces,
+    assert sizes[-1] > _CHUNK and sizes[-1] % _CHUNK == n % _CHUNK  # a short one
+    sweep = calls[envelope + 1 :]
     assert sweep and sweep[0][0] == 0
     assert all(size % _CHUNK == 0 or at + size == n for at, size in sweep)
-    # sweep calls and the probe pieces before the sweep's end tile the trace up to there
-    end = sum(sweep[-1])
-    spans = sorted(sweep + [(at, _CHUNK) for at in probes if at < end])
-    assert [at for at, _ in spans] == [0] + list(np.cumsum([size for _, size in spans])[:-1])
-    assert sum(size for _, size in sweep) + len(probes) * _CHUNK < n
+    assert [at for at, _ in sweep] == [0] + list(np.cumsum([size for _, size in sweep])[:-1])
 
 
 @pytest.mark.parametrize(
