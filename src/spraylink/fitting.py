@@ -18,11 +18,12 @@ from kinetics._pair_bhat, the same operations for one pair, into rows that
 the fit owns; kinetics._bhat_rate_grad gives the rate derivatives of that
 Bhat. LM evaluates the model once per point: its Jacobian reuses the B of
 the residual at the same point, and the exp(-k1 t) and exp(-k2 t) rows
-behind it, and is written into an array that the fit owns, so a point
-allocates only its residual. Both stages mask where channel._defined
-fails: the grid at the largest and smallest positive B of each cell whose
-feasibility it reads (the candidates and the cells kept, below), and LM
-through the NaN of channel._volts.
+behind it, and is written into the (3, n) rows of an array that the fit
+owns, returned as their (n, 3) transpose, so a point allocates only its
+residual and LM forms J'J from contiguous rows. Both stages mask where
+channel._defined fails: the grid at the largest and smallest positive B of
+each cell whose feasibility it reads (the candidates and the cells kept,
+below), and LM through the NaN of channel._volts.
 
 The grid's sensitivity is f(B) = a C0^b Bhat^b + c. It sums squared
 errors in pieces of L = _GRID_BLOCK_ELEMENTS / k_grid^2 samples. One
@@ -106,6 +107,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -153,8 +155,10 @@ class FitProblem:
     """A bounded nonlinear least-squares problem.
 
     residual maps a parameter vector to a residual vector, and jacobian
-    maps it to the residual's Jacobian (one row per residual, one column
-    per parameter); bounds is a sequence of finite (lo, hi) pairs; x0 must
+    maps it to the residual's Jacobian J (one row per residual, one column
+    per parameter) in either memory order: LM reads its columns as the rows
+    of J.T, and a J that is the transpose of a C-ordered array gives them
+    contiguous. bounds is a sequence of finite (lo, hi) pairs; x0 must
     lie inside the bounds. abandon, if given, is asked before the residual
     is evaluated at each new point (the start and every trial step); once
     it returns True the fit stops, terminated "abandoned".
@@ -336,6 +340,19 @@ def mse(model: Trace, measured: Trace) -> float:
     return float(diff @ diff) / diff.size
 
 
+def _normal_equations(J, r):
+    """g = J'r and A = J'J, for J of either memory order.
+
+    A's upper triangle takes one dot per pair of J's columns, the rows of
+    J.T, and is mirrored to the lower one, so A is exactly symmetric.
+    """
+    cols = J.T
+    A = np.empty((len(cols), len(cols)))
+    for i, j in itertools.combinations_with_replacement(range(len(cols)), 2):
+        A[i, j] = A[j, i] = cols[i] @ cols[j]
+    return cols @ r, A
+
+
 def levenberg_marquardt(problem: FitProblem) -> FitResult:
     """Minimize 0.5 ||r(p)||^2 subject to box bounds.
 
@@ -388,8 +405,7 @@ def levenberg_marquardt(problem: FitProblem) -> FitResult:
             lam = LAMBDA_INIT
         while termination is None:
             J = jacobian(p)
-            g = J.T @ r
-            A = J.T @ J
+            g, A = _normal_equations(J, r)
             diag = A.diagonal().tolist()
             norms = [math.sqrt(ajj) * math.sqrt(2.0 * cost) for ajj in diag]  # ||J_j|| ||r||
             # each cosine |J_j' r| / norms_j is 0 where J_j' r = 0 (a zero column,
@@ -454,10 +470,13 @@ def fit_sensitivity(table: SensitivityTable) -> tuple[SensitivityCoeffs, FitResu
     """Fit a * x^b + c to a sensitivity table by least squares.
 
     Needs at least 4 points with strictly increasing, positive
-    concentrations. The initial guess comes from a log-log slope fit. A
-    degenerate table (constant ratio column, or a rank-deficient Jacobian
-    at the solution), or a fit that ends on a bound, produces a warning and
-    converged=False.
+    concentrations. The initial guess comes from a profiled scan, variable
+    projection (Golub & Pereyra 1973): at each of 60 values of b evenly
+    spaced over its bounds, (a, c) is the linear least-squares fit, clipped
+    to their bounds, and the b of lowest SSE is kept; a b where some x^b
+    is not finite is skipped. A degenerate table (constant ratio column, or
+    a rank-deficient Jacobian at the solution), or a fit that ends on a
+    bound, produces a warning and converged=False.
     """
     x = table.concentration
     y = table.ratio
@@ -470,11 +489,19 @@ def fit_sensitivity(table: SensitivityTable) -> tuple[SensitivityCoeffs, FitResu
 
     degenerate = float(np.ptp(y)) < 1e-12
 
-    # Log-log slope of the shifted ratios seeds (a, b); c starts at 0.
-    shifted = y - y.min() + 1e-3
-    b0, log_a0 = np.polyfit(np.log(x), np.log(shifted), 1)
-    b0 = float(np.clip(b0, -5.0, -0.01))
-    a0 = float(np.clip(math.exp(log_a0), 1e-8, 1e3))
+    bounds = ((1e-8, 1e3), (-5.0, -0.01), (-1e3, 1e3))
+    lo, hi = np.array(bounds).T
+    x0, best = None, math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in np.linspace(lo[1], hi[1], 60):
+            power = x**b
+            if not np.all(np.isfinite(power)):
+                continue
+            a, c = np.linalg.lstsq(np.column_stack((power, np.ones_like(x))), y, rcond=None)[0]
+            p = np.clip([a, b, c], lo, hi)
+            sse = float(np.sum((p[0] * power + p[2] - y) ** 2))
+            if x0 is None or sse < best:
+                x0, best = p, sse
 
     def residual(p):
         return p[0] * x ** p[1] + p[2] - y
@@ -486,8 +513,8 @@ def fit_sensitivity(table: SensitivityTable) -> tuple[SensitivityCoeffs, FitResu
     problem = FitProblem(
         residual=residual,
         jacobian=jacobian,
-        bounds=((1e-8, 1e3), (-5.0, -0.01), (-1e3, 1e3)),
-        x0=np.array([a0, b0, 0.0]),
+        bounds=bounds,
+        x0=x0,
     )
     result = levenberg_marquardt(problem)
     pinned = ", ".join(name for name, hit in zip("abc", result.at_bound) if hit)
@@ -786,9 +813,10 @@ class _TraceFit:
     dB/dk1 and dB/dk2 from kinetics._bhat_rate_grad and
     dB/dgamma = B / gamma, evaluated as -b V w (dB/dtheta) / B with
     w = a B^b / (f(B) + rl/ro) so that no factor overflows; it is 0 where
-    B = 0. It is written into one (n, 3) array that this object owns, by
-    way of three scratch rows, and so is overwritten by the next Jacobian
-    call: LM reads only its latest J.
+    B = 0. It is written into the rows of one (3, n) array that this object
+    owns, by way of three scratch rows, and returned as its (n, 3)
+    transpose, so it is overwritten by the next Jacobian call: LM reads only
+    its latest J.
     """
 
     def __init__(self, measured: Trace, tx: TransmitterSpec, sensor: SensorSpec, s: float):
@@ -798,7 +826,7 @@ class _TraceFit:
         self.c0 = channel_mod.initial_concentration(dataclasses.replace(tx, gamma=1.0), s)
         self._at = None  # the point (k1, k2, gamma) whose model _model_rows hold
         self._model_rows = np.empty((4, self.times.size))  # B, a B^b, exp(-k1 t), exp(-k2 t)
-        self._jac = np.empty((self.times.size, 3))
+        self._jac = np.empty((3, self.times.size))  # one row per parameter
         self._rows = np.empty((3, self.times.size))
 
     def _model(self, p):
@@ -836,11 +864,11 @@ class _TraceFit:
             k1, k2, self.times, self.c0 * gamma, b, e1, e2, out=(work, dk2)
         )
         jac = self._jac
-        np.multiply(dv_db, dk1, out=jac[:, 0])
-        np.multiply(dv_db, dk2, out=jac[:, 1])
-        np.multiply(dv_db, b, out=jac[:, 2])
-        jac[:, 2] /= gamma
-        return jac
+        np.multiply(dv_db, dk1, out=jac[0])
+        np.multiply(dv_db, dk2, out=jac[1])
+        np.multiply(dv_db, b, out=jac[2])
+        jac[2] /= gamma
+        return jac.T
 
     def problem(self, x0, search: SearchConfig) -> FitProblem:
         """The bounded LM problem started at x0 = (k1, k2, gamma)."""

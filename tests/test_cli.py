@@ -176,7 +176,7 @@ def test_fit_sensitivity_bundled_prints_pinned_coefficients(capsys):
         "b = -0.585517\n"
         "c = -0.074272\n"
         "rmse = 0.0351894\n"
-        "converged = True after 40 steps\n"
+        "converged = True after 5 steps\n"
     )
 
 
