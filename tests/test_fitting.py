@@ -717,15 +717,9 @@ def test_pruned_grid_is_a_prefix_of_the_full_grid(
     assert np.array_equal(fitting._grid_cells(trace, bench_tx, sensor, s, exact), full)
 
 
-@pytest.mark.parametrize(
-    "n, dt, most, calls", [(1001, 0.01, 0.25, 5), (20001, 0.0005, 0.08, 12)], ids=["fit_1k", "fit_20k"]
-)
-def test_pruned_grid_evaluates_under_two_fifths_of_bhat(bench_tx, bench_sensor, monkeypatch, n, dt, most, calls):
-    # (rate pairs x samples) of Bhat per grid; one unpruned pass makes
-    # k_grid^2 n. Measured with the envelope: 0.192 and 0.052 of it, in 3
-    # and 9 kernel calls; the probe pieces before it made 0.295 and 0.143,
-    # in 30 calls at 20001 samples
-    trace = _noisy_trace(bench_tx, bench_sensor, 2.0, 0.5, 3.0, 1.0, np.arange(n) * dt)
+def _grid_bhat_work(tx, sensor, monkeypatch, n, dt):
+    """(rate pairs x samples) of each Bhat call one grid makes, truth (2, 0.5, 3) at 1 m."""
+    trace = _noisy_trace(tx, sensor, 2.0, 0.5, 3.0, 1.0, np.arange(n) * dt)
     bhat = kinetics._bhat
     work = []
 
@@ -734,7 +728,25 @@ def test_pruned_grid_evaluates_under_two_fifths_of_bhat(bench_tx, bench_sensor, 
         return bhat(k, t, *args, pairs=pairs, **kwargs)
 
     monkeypatch.setattr(kinetics, "_bhat", counted)
-    fitting._grid_cells(trace, bench_tx, bench_sensor, 1.0, _DEFAULT)
+    fitting._grid_cells(trace, tx, sensor, 1.0, _DEFAULT)
+    return work
+
+
+@pytest.mark.parametrize("n, dt", [(1001, 0.01), (20001, 0.0005)], ids=["fit_1k", "fit_20k"])
+def test_pruned_grid_evaluates_under_two_fifths_of_bhat(bench_tx, bench_sensor, monkeypatch, n, dt):
+    # one unpruned pass makes k_grid^2 n
+    work = _grid_bhat_work(bench_tx, bench_sensor, monkeypatch, n, dt)
+    assert sum(work) < 0.4 * _DEFAULT.k_grid**2 * n
+
+
+@pytest.mark.parametrize(
+    "n, dt, most, calls", [(1001, 0.01, 0.25, 5), (20001, 0.0005, 0.08, 12)], ids=["fit_1k", "fit_20k"]
+)
+def test_envelope_leaves_the_sweep_few_cells(bench_tx, bench_sensor, monkeypatch, n, dt, most, calls):
+    # Bhat work measured with the envelope: 0.192 and 0.052 of k_grid^2 n, in
+    # 3 and 9 kernel calls; the probe pieces before it made 0.295 and 0.143,
+    # in 30 calls at 20001 samples
+    work = _grid_bhat_work(bench_tx, bench_sensor, monkeypatch, n, dt)
     assert sum(work) < most * _DEFAULT.k_grid**2 * n
     assert len(work) <= calls
 
