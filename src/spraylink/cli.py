@@ -213,7 +213,7 @@ def _json_bool(data, key, default):
 def _cmd_trend(cfg, args) -> int:
     if not os.path.isdir(args.estimates_dir):
         raise ParseError("estimates directory not found", path=args.estimates_dir)
-    paths = sorted(glob.glob(os.path.join(args.estimates_dir, "*.json")))
+    paths = sorted(glob.glob(os.path.join(glob.escape(args.estimates_dir), "*.json")))
     pairs = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:

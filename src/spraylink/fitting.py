@@ -47,22 +47,23 @@ best cells, the candidates, are those of a stable sort of the pre-pass
 sums (ties to the lower cell index, NaN last), found by np.partition and a
 sort of only the sums at or below its cut. They are scored over the whole
 trace in whole-piece kernel calls, and their feasibility is judged from
-the Bhat ends those calls track; no other call tracks them. tau, the
-refine_top-th smallest feasible sum of squared errors (SSE) among them
-times 1 + _PRUNE_SLACK (inf with fewer), bounds the refine_top-th best SSE
-from above. With bound = tau (1 + _PRUNE_SLACK), a candidate is kept if
-its SSE is at most tau and its pre-pass SSE at most bound, and is not
-scored again. Any other cell is dropped once its pre-pass SSE exceeds
-bound, and then once that plus its envelope bound (below) does. The sweep
-scores the cells left in time order and drops a cell once its running SSE
-exceeds bound; a cell live to the end is kept only if it scores at most
-tau. A kept cell whose rate pair has no candidate cell is judged from one
-more pass over that pair's Bhat, in whole-piece calls, which give the same
-floats. Every kept SSE adds the same piece sums in time order as one call
-per piece would, so the kept cells, and their scores bit for bit, are a
-prefix of the full grid's that holds at least the refine_top best; with
-refine_top at least the feasible cells, tau is at least every score and
-the prefix is the whole grid.
+the Bhat ends those calls track. tau, the refine_top-th smallest feasible
+sum of squared errors (SSE) among them times 1 + _PRUNE_SLACK (inf with
+fewer), bounds the refine_top-th best SSE from above. With
+bound = tau (1 + _PRUNE_SLACK), a candidate is kept if its SSE is at most
+tau and its pre-pass SSE at most bound, and is not scored again. Any
+other cell is dropped once its pre-pass SSE exceeds bound, and then once
+that plus its envelope bound (below) does. The sweep scores the cells left in time order
+and drops a cell once its running SSE exceeds bound; a cell live to the
+end is kept only if it scores at most tau. The sweep's calls track the
+Bhat ends of their live pairs too (only the pre-pass and the envelope do
+not), so every kept cell is judged from its pair's Bhat over the whole
+trace: it is a candidate, or it was live in every call of the sweep. Every
+kept SSE adds the same piece sums in time order as one call per piece
+would, so the kept cells, and their scores bit for bit, are a prefix of
+the full grid's that holds at least the refine_top best; with refine_top
+at least the feasible cells, tau is at least every score and the prefix is
+the whole grid.
 
 The envelope bound is the piecewise aggregate bound of Keogh et al.,
 "Dimensionality reduction for fast similarity search in large time series
@@ -683,16 +684,6 @@ def _grid_cells(
             kin_mod._bhat(k_nodes, t, bhat, pairs=np.divmod(live, k), work=work)
         return bhat
 
-    def track(bhat, live):
-        """Fold the rows bhat of the pairs live into their peak and smallest positive Bhat."""
-        peak[live] = np.maximum(peak[live], bhat.max(axis=1))
-        row_low = bhat.min(axis=1)
-        zero = ~(row_low > 0.0)  # rows holding a 0 take their smallest positive Bhat
-        if zero.any():
-            rows = bhat if zero.all() else bhat[zero]
-            row_low[zero] = np.min(rows, axis=1, initial=np.inf, where=rows > 0.0)
-        low[live] = np.minimum(low[live], row_low)
-
     def add_pieces(t, meas, cells, sums, tracked=False):
         """Add the squared errors at times t of the (gamma, pair) cells set in cells to sums.
 
@@ -700,13 +691,19 @@ def _grid_cells(
         pairs times t.size fit bhat_buf. Each piece is summed on its own, and
         the piece sums are added to sums in time order, as one call per
         piece would add them. tracked also folds the live pairs' Bhat into
-        their range (see track).
+        their peak and smallest positive Bhat.
         """
         live = np.flatnonzero(cells.any(axis=0))
         size = t.size
         bhat = table(t, live)
         if tracked:
-            track(bhat, live)
+            peak[live] = np.maximum(peak[live], bhat.max(axis=1))
+            row_low = bhat.min(axis=1)
+            zero = ~(row_low > 0.0)  # rows holding a 0 take their smallest positive Bhat
+            if zero.any():
+                rows = bhat if zero.all() else bhat[zero]
+                row_low[zero] = np.min(rows, axis=1, initial=np.inf, where=rows > 0.0)
+            low[live] = np.minimum(low[live], row_low)
         np.power(bhat, sens.b, out=bhat)
         whole = size // piece * piece  # samples in whole pieces
         g_of, row_of = np.nonzero(cells[:, live])
@@ -732,18 +729,20 @@ def _grid_cells(
             np.cumsum(run, axis=1, out=run)
             sums[g, live[rows]] = run[:, -1]
 
-    def add_trace(cells, sums, bound, tracked=False):
+    def add_trace(cells, sums, bound):
         """Add the squared errors over the whole trace of the cells set in cells to sums.
 
-        Each add_pieces call (tracked is passed on) spans as many whole pieces
-        as bhat_buf holds for the live pairs; after each, a cell whose running
-        sum exceeds bound is cleared from cells, until none is live.
+        Each add_pieces call is tracked and spans as many whole pieces as
+        bhat_buf holds for the live pairs; after each, a cell whose running
+        sum exceeds bound is cleared from cells, until none is live. So a
+        cell still set at the end has its pair's Bhat range over the whole
+        trace.
         """
         start = 0
         while start < n and cells.any():
             live = np.count_nonzero(cells.any(axis=0))
             stop = min(start + piece * (pairs // live), n)
-            add_pieces(times[start:stop], meas_v[start:stop], cells, sums, tracked)
+            add_pieces(times[start:stop], meas_v[start:stop], cells, sums, tracked=True)
             cells &= ~(sums > bound)
             start = stop
 
@@ -764,7 +763,7 @@ def _grid_cells(
         add_pieces(times[::stride], meas_v[::stride], alive, sub)
         candidates = np.zeros_like(alive)
         candidates.flat[_smallest(sub, 2 * top)] = True
-        add_trace(candidates, sse, np.inf, tracked=True)
+        add_trace(candidates, sse, np.inf)
         best = np.sort(sse[defined(candidates)])
         tau = best[top - 1] * (1.0 + _PRUNE_SLACK) if best.size >= top else np.inf
         bound = tau * (1.0 + _PRUNE_SLACK)
@@ -779,13 +778,7 @@ def _grid_cells(
                 into[g, live[rows]] += _envelope_bound(part, rows, slope[g], offset, gain, stride - 1, block_buf)
                 scored &= ~(into > bound)
         add_trace(scored, sse, bound)
-        kept = (scored | alive & candidates) & ~(sse > tau)
-        late = np.flatnonzero(kept.any(axis=0) & ~candidates.any(axis=0))
-        if late.size:  # kept pairs with no candidate: their range over the whole trace
-            span = piece * (pairs // late.size)
-            for start in range(0, n, span):
-                track(table(times[start : start + span], late), late)
-        ok = defined(kept)
+        ok = defined((scored | alive & candidates) & ~(sse > tau))
     scores = np.where(ok, sse / n, np.inf).T.reshape(k, k, g_nodes.size)
     flat = scores.ravel()
     feasible_idx = np.flatnonzero(flat < np.inf)
@@ -814,9 +807,10 @@ class _TraceFit:
     dB/dgamma = B / gamma, evaluated as -b V w (dB/dtheta) / B with
     w = a B^b / (f(B) + rl/ro) so that no factor overflows; it is 0 where
     B = 0. It is written into the rows of one (3, n) array that this object
-    owns, by way of three scratch rows, and returned as its (n, 3)
-    transpose, so it is overwritten by the next Jacobian call: LM reads only
-    its latest J.
+    owns, with no other scratch: dV/dB waits in the gamma row while
+    kinetics._bhat_rate_grad writes the rate rows, which are then scaled by
+    it in place. It is returned as the (n, 3) transpose, so it is
+    overwritten by the next Jacobian call: LM reads only its latest J.
     """
 
     def __init__(self, measured: Trace, tx: TransmitterSpec, sensor: SensorSpec, s: float):
@@ -827,7 +821,6 @@ class _TraceFit:
         self._at = None  # the point (k1, k2, gamma) whose model _model_rows hold
         self._model_rows = np.empty((4, self.times.size))  # B, a B^b, exp(-k1 t), exp(-k2 t)
         self._jac = np.empty((3, self.times.size))  # one row per parameter
-        self._rows = np.empty((3, self.times.size))
 
     def _model(self, p):
         """p as floats, and B, a B^b, exp(-k1 t) and exp(-k2 t) at p."""
@@ -852,7 +845,8 @@ class _TraceFit:
     def jacobian(self, p):
         (k1, k2, gamma), b, ab, e1, e2 = self._model(p)
         sensor, sens = self.sensor, self.sensor.sens
-        work, dv_db, dk2 = self._rows
+        jac = self._jac
+        work, dv_db = jac[0], jac[2]  # dV/dB waits in the gamma row
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             denom = np.add(ab, sens.c + sensor.rl / sensor.ro, out=work)
             volts = np.divide(sensor.ein * sensor.rl / sensor.ro, denom, out=dv_db)
@@ -860,14 +854,10 @@ class _TraceFit:
             dv_db *= np.divide(ab, denom, out=work)
             dv_db /= b
         dv_db[~(b > 0.0)] = 0.0
-        dk1, dk2 = kin_mod._bhat_rate_grad(
-            k1, k2, self.times, self.c0 * gamma, b, e1, e2, out=(work, dk2)
-        )
-        jac = self._jac
-        np.multiply(dv_db, dk1, out=jac[0])
-        np.multiply(dv_db, dk2, out=jac[1])
-        np.multiply(dv_db, b, out=jac[2])
-        jac[2] /= gamma
+        kin_mod._bhat_rate_grad(k1, k2, self.times, self.c0 * gamma, b, e1, e2, out=jac[:2])
+        jac[:2] *= dv_db
+        dv_db *= b
+        dv_db /= gamma
         return jac.T
 
     def problem(self, x0, search: SearchConfig) -> FitProblem:
@@ -976,7 +966,7 @@ def estimate_channel_params(
     trace_fit = _TraceFit(measured, tx, sensor, s)
     reach = _start_reach(search)
     minima = []  # canonical log-triples of the minima found inside the box
-    results, candidates = [], []
+    results = []
 
     def refine(x0):
         """Refine from x0; whether its fit ended inside the box."""
@@ -986,15 +976,14 @@ def estimate_channel_params(
         result = levenberg_marquardt(problem)
         results.append(result)
         inside = not any(result.at_bound)
-        if result.termination != "abandoned":
-            candidates.append((result.mse, tuple(result.params), result))
-            if inside:
-                minima.append(_canonical_key(result.params, search))
+        if inside and result.termination != "abandoned":
+            minima.append(_canonical_key(result.params, search))
         return inside
 
     _distinct_starts(cells, search, refine)
-    candidates.sort(key=lambda cand: (cand[0], cand[1]))
-    best_mse, (k1, k2, gamma), best_fit = candidates[0]
+    finished = (r for r in results if r.termination != "abandoned")
+    best_fit = min(finished, key=lambda r: (r.mse, tuple(r.params)))
+    best_mse, (k1, k2, gamma) = best_fit.mse, best_fit.params
     best_fit = dataclasses.replace(
         best_fit,
         residual_evals=sum(r.residual_evals for r in results),

@@ -314,10 +314,10 @@ def preprocess(raw: Trace, t0="auto", noise_floor: float = DEFAULT_NOISE_FLOOR_V
     """Align a raw trace to its start time and remove the offset voltage.
 
     t0 may be a time in seconds (a number, or its text) or "auto" (onset
-    detection); anything else raises ValidationError. The output
-    time axis is raw time minus t0, truncated to t >= 0, and the voltage at
-    t0 (interpolated when t0 falls between samples) is subtracted from
-    every sample, so the result starts at (0, 0). Negative dips after
+    detection); anything else raises ValidationError. The output is
+    (0, 0) and then the samples strictly after t0, at raw time minus t0,
+    less the voltage at t0 (interpolated when t0 falls between samples), so
+    a sample at t0 itself becomes that (0, 0). Negative dips after
     offset removal are clamped to zero only when no deeper than
     noise_floor; otherwise they are kept and flagged in meta.
     """
@@ -336,15 +336,9 @@ def preprocess(raw: Trace, t0="auto", noise_floor: float = DEFAULT_NOISE_FLOOR_V
                 f"[{float(raw.times[0])!r}, {float(raw.times[-1])!r}]"
             )
     v0 = float(np.interp(t0, raw.times, raw.volts))
-    keep = raw.times >= t0
-    new_t = raw.times[keep] - t0
-    new_v = raw.volts[keep] - v0
-    if new_t.size == 0 or new_t[0] != 0.0:
-        new_t = np.concatenate(([0.0], new_t))
-        new_v = np.concatenate(([0.0], new_v))
-    else:
-        new_v = new_v.copy()
-        new_v[0] = 0.0
+    keep = raw.times > t0
+    new_t = np.concatenate(([0.0], raw.times[keep] - t0))
+    new_v = np.concatenate(([0.0], raw.volts[keep] - v0))
     meta = dict(raw.meta)
     meta.update({"t0": t0, "offset_v": v0, "preprocessed": True})
     min_v = float(new_v.min())

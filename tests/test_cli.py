@@ -232,6 +232,18 @@ def test_trend_pipeline(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 5
 
 
+def test_trend_reads_a_directory_whose_name_is_a_glob_pattern(tmp_path, capsys):
+    # "[1]" is a glob character class: unescaped, the pattern matches no file
+    est_dir = tmp_path / "run[1]"
+    est_dir.mkdir()
+    for name, s in (("a.json", 1.0), ("b.json", 1.2)):
+        (est_dir / name).write_text(json.dumps({"s": s, "k1": 2.0, "k2": 0.5, "gamma": 3.0}))
+    out_csv = tmp_path / "trend.csv"
+    assert run(["trend", est_dir, "--out", out_csv]) == EXIT_OK
+    assert "(2 distances from 2 estimates)" in capsys.readouterr().out
+    assert len(out_csv.read_text().splitlines()) == 3
+
+
 def test_trend_insufficient_data(tmp_path, capsys):
     est_dir = tmp_path / "estimates"
     est_dir.mkdir()

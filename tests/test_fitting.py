@@ -636,8 +636,8 @@ _GRID_CASES = [
         *_SWEPT_K, 1.0, 1.0, 10.0, 5001, None, _DEFAULT, id="kept_beyond_candidates"
     ),
     # the sweep keeps cells of rate pairs that have no candidate cell, and
-    # the steep curve's overflow refuses 7 of them: only a pass over those
-    # pairs' Bhat range over the whole trace sees it
+    # the steep curve's overflow refuses 7 of them: only the sweep's own
+    # tracking of those pairs' Bhat range over the whole trace sees it
     pytest.param(
         *_SWEPT_K, 1.0, 0.7, 10.0, 1001, _STEEP, _TOP1, id="kept_without_candidate_refused"
     ),
