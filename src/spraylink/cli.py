@@ -39,6 +39,11 @@ EXIT_IO = 5
 # Upper bound on simulate's t-end / dt, checked before any array is allocated.
 MAX_SIMULATE_STEPS = 10_000_000
 
+# The kept fit's FitResult fields that estimate --out writes under "diagnostics".
+FIT_DIAGNOSTICS = (
+    "termination", "converged", "iterations", "at_bound", "jac_condition", "residual_evals", "jacobian_evals"
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -156,6 +161,11 @@ def _cmd_estimate(cfg, args) -> int:
             "canonical": est.canonical,
             "low_confidence": est.low_confidence,
         }
+        if est.fit is not None:
+            diagnostics = {name: getattr(est.fit, name) for name in FIT_DIAGNOSTICS}
+            if not math.isfinite(est.fit.jac_condition):  # JSON has no NaN or inf
+                diagnostics["jac_condition"] = None
+            payload["diagnostics"] = diagnostics
         traceio.atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.out}")
     if args.residuals:

@@ -26,15 +26,17 @@ each cell whose feasibility it reads (the candidates and the cells kept,
 below), and LM through the NaN of channel._volts.
 
 The grid's sensitivity is f(B) = a C0^b Bhat^b + c. It sums squared
-errors in pieces of L = _GRID_BLOCK_ELEMENTS / k_grid^2 samples. One
-kernel call spans k_grid^2 / (live rate pairs) consecutive pieces, so its
-buffers hold at most k_grid^2 L elements: one piece while every pair is
-live, tens once few are, and the last call may end in a shorter piece.
-Per call, one exp(-k t) row per rate node gives Bhat^b for every live rate
-pair at once, and each live (gamma, pair) cell sums its squared error
-through an affine map and the divider, piece by piece, and adds the piece
-sums to its running SSE in time order. So the sums are those of one call
-per piece, bit for bit.
+errors in pieces of L = _GRID_PIECE_ELEMENTS / k_grid^2 samples (64 at
+16 rate nodes). A kernel call's scratch is apart from the piece: it holds
+_GRID_BLOCK_ELEMENTS, twice a piece of every rate pair, and one call spans
+as many whole pieces as that holds for its live rate pairs: two while
+every pair is live, hundreds once few are, and the last call may end in a
+shorter piece. The Bhat rows of a call are grown to what it needs, so the
+few candidates (below) of a short trace keep them small. Per call, one exp(-k t) row per rate node gives Bhat^b for
+every live rate pair at once, and each live (gamma, pair) cell sums its
+squared error through an affine map and the divider, piece by piece, and
+adds the piece sums to its running SSE in time order. So the sums are
+those of one call per piece, bit for bit.
 
 LM refines only the refine_top best grid cells, so the grid scores in full
 only the cells that can still finish among them. It abandons the others
@@ -56,8 +58,8 @@ other cell is dropped once its pre-pass SSE exceeds bound, and then once
 that plus its envelope bound (below) does. The sweep scores the cells left in time order
 and drops a cell once its running SSE exceeds bound; a cell live to the
 end is kept only if it scores at most tau. The sweep's calls track the
-Bhat ends of their live pairs too (only the pre-pass and the envelope do
-not), so every kept cell is judged from its pair's Bhat over the whole
+Bhat ends of their live pairs too (only the pre-pass does not), so every
+kept cell is judged from its pair's Bhat over the whole
 trace: it is a candidate, or it was live in every call of the sweep. Every
 kept SSE adds the same piece sums in time order as one call per piece
 would, so the kept cells, and their scores bit for bit, are a prefix of
@@ -68,7 +70,10 @@ the whole grid.
 The envelope bound is the piecewise aggregate bound of Keogh et al.,
 "Dimensionality reduction for fast similarity search in large time series
 databases" (KAIS 2001). The c = stride - 1 samples between two consecutive
-pre-pass samples form a block (later samples add nothing). A cell's volts
+pre-pass samples form a block (later samples add nothing), and the bound
+reads Bhat^b at the blocks' ends from the pre-pass's own table, which the
+grid keeps, with the mask of its Bhat < 2^-1000, until the envelope has
+gathered the rows of its live pairs. A cell's volts
 G / (s Bhat^b + o) rise with Bhat wherever s Bhat^b + o > 0 (G, s > 0,
 b < 0), and Bhat is unimodal with its peak at ln(k1 / k2) / (k1 - k2), or
 1 / k1 where k1 = k2. So in a block the model lies in [lo, hi], its values
@@ -138,9 +143,15 @@ LAMBDA_INIT = 1e-3
 # Jacobian condition estimate above this is reported as rank-deficient.
 RANK_DEFICIENT_COND = 1e8
 
-# Bound on k_grid^2 * L, the float64 elements of one piece of the grid stage
-# (L samples, at least one, for every rate pair) and of the scratch of one of
-# its kernel calls, so scratch memory stays flat in trace length.
+# Bound on k_grid^2 * L, the float64 elements of one piece of the grid stage:
+# L samples, at least one, for every rate pair, summed on their own. The
+# pre-pass scores at most one piece.
+_GRID_PIECE_ELEMENTS = 2**14
+
+# Bound on the float64 elements of the scratch of one grid kernel call, at
+# least one sample for every rate pair, so scratch memory stays flat in trace
+# length. It is apart from the piece: one call spans whole pieces, as many as
+# its scratch holds for the live rate pairs.
 _GRID_BLOCK_ELEMENTS = 2**15
 
 # Relative slack of the grid's pruning bound over the rounding of its sums.
@@ -578,12 +589,13 @@ def _smallest(values: np.ndarray, m: int) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", over="ignore")
-def _envelope_blocks(times, volts, stride, k_nodes, live, bhat, b):
+def _envelope_blocks(times, volts, stride, k_nodes, live, powers, small, b):
     """The envelope bound's terms (module doc) for the blocks between the samples times[::stride].
 
-    stride >= 2, and there are 2 or more such samples. bhat holds Bhat there
-    for the rate pairs live (k1 node * k_nodes.size + k2 node), one row
-    each, and is overwritten by Bhat^b. Returns, with the block on the last
+    stride >= 2, and there are 2 or more such samples. powers holds Bhat^b
+    there for the rate pairs live (k1 node * k_nodes.size + k2 node), one
+    row each, and small is True where Bhat < 2^-1000; powers is set to
+    inf, Bhat = 0's power, where small is. Returns, with the block on the last
     axis: the left and right ends' Bhat^b and no_hi (no upper end) per pair,
     the widened (lo - mu, mu - hi) shift and the margin factors on the
     (larger, smaller) end Bhat^b.
@@ -599,11 +611,9 @@ def _envelope_blocks(times, volts, stride, k_nodes, live, bhat, b):
     k1, k2 = k_nodes[live // k_nodes.size], k_nodes[live % k_nodes.size]
     delta = np.abs(k1 - k2)
     peak_t = np.divide(np.log1p(delta / np.minimum(k1, k2)), delta, out=1.0 / k1, where=delta > 0.0)[:, None]
-    small = bhat < 2.0**-1000
     no_hi = small[:, :-1] & small[:, 1:] | (at[:-1] < peak_t * (1.0 + 2.0**-40)) & (at[1:] > peak_t * (1.0 - 2.0**-40))
-    bhat[small] = 0.0
-    np.power(bhat, b, out=bhat)
-    return bhat[:, :-1], bhat[:, 1:], no_hi, shift, factor
+    powers[small] = np.inf
+    return powers[:, :-1], powers[:, 1:], no_hi, shift, factor
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a NaN bound (0 * inf) drops no cell
@@ -665,56 +675,64 @@ def _grid_cells(
     times, meas_v = measured.times, measured.volts
     n, k = meas_v.size, k_nodes.size
     pairs = k * k
-    piece = max(1, _GRID_BLOCK_ELEMENTS // pairs)
-    bhat_buf = np.empty(pairs * piece)
-    block_buf = np.empty(pairs * piece)
+    piece = max(1, _GRID_PIECE_ELEMENTS // pairs)
+    block_buf = np.empty(pairs * max(1, _GRID_BLOCK_ELEMENTS // pairs))
+    bhat_buf = np.empty(0)  # grown to what a call needs, at most block_buf.size
     peak = np.zeros(pairs)
     low = np.full(pairs, np.inf)
     sse = np.zeros((g_nodes.size, pairs))
     alive = np.ones(sse.shape, dtype=bool)
 
-    def table(t, live):
-        """Bhat of the rate pairs live at times t, one row each, in bhat_buf."""
-        size = t.size
-        bhat = bhat_buf[: live.size * size].reshape(live.size, size)
-        if live.size == pairs:  # every pair: no gathers
-            kin_mod._bhat(k_nodes, t, bhat.reshape(k, k, size))
-        else:
-            work = block_buf[: live.size * size].reshape(live.size, size)
-            kin_mod._bhat(k_nodes, t, bhat, pairs=np.divmod(live, k), work=work)
-        return bhat
+    def bhat_rows(rows, size):
+        """bhat_buf as rows x size, grown first if it is shorter."""
+        nonlocal bhat_buf
+        if bhat_buf.size < rows * size:
+            bhat_buf = np.empty(rows * size)
+        return bhat_buf[: rows * size].reshape(rows, size)
 
-    def add_pieces(t, meas, cells, sums, tracked=False):
+    def add_pieces(t, meas, cells, sums):
         """Add the squared errors at times t of the (gamma, pair) cells set in cells to sums.
 
-        t is whole pieces and at most one shorter last piece, and the live
-        pairs times t.size fit bhat_buf. Each piece is summed on its own, and
-        the piece sums are added to sums in time order, as one call per
-        piece would add them. tracked also folds the live pairs' Bhat into
-        their peak and smallest positive Bhat.
+        The live pairs times t.size fit block_buf. Their Bhat, in bhat_buf,
+        is folded into their peak and smallest positive Bhat, and its power
+        goes to add_powers.
         """
         live = np.flatnonzero(cells.any(axis=0))
-        size = t.size
-        bhat = table(t, live)
-        if tracked:
-            peak[live] = np.maximum(peak[live], bhat.max(axis=1))
-            row_low = bhat.min(axis=1)
-            zero = ~(row_low > 0.0)  # rows holding a 0 take their smallest positive Bhat
-            if zero.any():
-                rows = bhat if zero.all() else bhat[zero]
-                row_low[zero] = np.min(rows, axis=1, initial=np.inf, where=rows > 0.0)
-            low[live] = np.minimum(low[live], row_low)
-        np.power(bhat, sens.b, out=bhat)
+        bhat = bhat_rows(live.size, t.size)
+        if live.size == pairs:  # every pair: no gathers
+            kin_mod._bhat(k_nodes, t, bhat.reshape(k, k, t.size))
+        else:
+            work = block_buf[: bhat.size].reshape(bhat.shape)
+            kin_mod._bhat(k_nodes, t, bhat, pairs=np.divmod(live, k), work=work)
+        peak[live] = np.maximum(peak[live], bhat.max(axis=1))
+        row_low = bhat.min(axis=1)
+        zero = ~(row_low > 0.0)  # rows holding a 0 take their smallest positive Bhat
+        if zero.any():
+            rows = bhat if zero.all() else bhat[zero]
+            row_low[zero] = np.min(rows, axis=1, initial=np.inf, where=rows > 0.0)
+        low[live] = np.minimum(low[live], row_low)
+        add_powers(np.power(bhat, sens.b, out=bhat), live, meas, cells, sums)
+
+    def add_powers(powers, live, meas, cells, sums):
+        """Add the squared errors at the samples meas of the (gamma, pair) cells set in cells to sums.
+
+        powers holds Bhat^b there of the pairs live, one row each. meas is
+        whole pieces and at most one shorter last piece. Each piece is
+        summed on its own, and the piece sums are added to sums in time
+        order, as one call per piece would add them.
+        """
+        size = meas.size
         whole = size // piece * piece  # samples in whole pieces
         g_of, row_of = np.nonzero(cells[:, live])
-        step = live.size * (bhat_buf.size // (live.size * size))  # rows that fill block_buf
+        step = live.size * (block_buf.size // (live.size * size))  # rows that fill block_buf
         for a in range(0, g_of.size, step):
             g, rows = g_of[a : a + step], row_of[a : a + step]
             part = block_buf[: rows.size * size].reshape(-1, size)
-            if rows.size == live.size and g[0] == g[-1]:  # one gamma node, every live pair
-                np.multiply(slope[g[0]], bhat, out=part)
+            nodes = rows.size // live.size
+            if rows.size == nodes * live.size and g[-1] - g[0] + 1 == nodes:  # whole gamma nodes, every live pair
+                np.multiply(slope[g[0] : g[-1] + 1, None, None], powers, out=part.reshape(nodes, live.size, size))
             else:
-                np.take(bhat, rows, axis=0, out=part)
+                np.take(powers, rows, axis=0, out=part)
                 part *= slope[g, None]
             part += offset
             np.divide(gain, part, out=part)
@@ -732,17 +750,16 @@ def _grid_cells(
     def add_trace(cells, sums, bound):
         """Add the squared errors over the whole trace of the cells set in cells to sums.
 
-        Each add_pieces call is tracked and spans as many whole pieces as
-        bhat_buf holds for the live pairs; after each, a cell whose running
-        sum exceeds bound is cleared from cells, until none is live. So a
-        cell still set at the end has its pair's Bhat range over the whole
-        trace.
+        Each add_pieces call spans as many whole pieces as block_buf holds
+        for the live pairs; after each, a cell whose running sum exceeds
+        bound is cleared from cells, until none is live. So a cell still
+        set at the end has its pair's Bhat range over the whole trace.
         """
         start = 0
         while start < n and cells.any():
             live = np.count_nonzero(cells.any(axis=0))
-            stop = min(start + piece * (pairs // live), n)
-            add_pieces(times[start:stop], meas_v[start:stop], cells, sums, tracked=True)
+            stop = min(start + block_buf.size // live // piece * piece, n)
+            add_pieces(times[start:stop], meas_v[start:stop], cells, sums)
             cells &= ~(sums > bound)
             start = stop
 
@@ -759,8 +776,11 @@ def _grid_cells(
     with np.errstate(divide="ignore", over="ignore"):
         slope = sens.a * c0**sens.b
         stride = -(-n // piece)
+        at = times[::stride]
+        prepass = kin_mod._bhat(k_nodes, at, np.empty((k, k, at.size))).reshape(pairs, at.size)
+        small = prepass < 2.0**-1000  # the envelope counts such an end as 0
         sub = np.zeros_like(sse)
-        add_pieces(times[::stride], meas_v[::stride], alive, sub)
+        add_powers(np.power(prepass, sens.b, out=prepass), np.arange(pairs), meas_v[::stride], alive, sub)
         candidates = np.zeros_like(alive)
         candidates.flat[_smallest(sub, 2 * top)] = True
         add_trace(candidates, sse, np.inf)
@@ -771,12 +791,14 @@ def _grid_cells(
         scored = alive & ~candidates  # the candidates have their SSE already
         if bound < np.inf and scored.any() and n > stride > 1:  # the envelope: samples lie between pre-pass ones
             live = np.flatnonzero(scored.any(axis=0))
-            blocks = _envelope_blocks(times, meas_v, stride, k_nodes, live, table(times[::stride], live), sens.b)
+            powers = np.take(prepass, live, axis=0, out=bhat_rows(live.size, at.size))
+            blocks = _envelope_blocks(times, meas_v, stride, k_nodes, live, powers, small[live], sens.b)
             for use, into in ((slice(0, None, 8), sub.copy()), (slice(None), sub)):  # every 8th block first
                 g, rows = np.nonzero(scored[:, live])
                 part = tuple(term[..., use] for term in blocks)
                 into[g, live[rows]] += _envelope_bound(part, rows, slope[g], offset, gain, stride - 1, block_buf)
                 scored &= ~(into > bound)
+        del prepass, small  # the sweep reads no pre-pass table
         add_trace(scored, sse, bound)
         ok = defined((scored | alive & candidates) & ~(sse > tau))
     scores = np.where(ok, sse / n, np.inf).T.reshape(k, k, g_nodes.size)

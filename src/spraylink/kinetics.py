@@ -193,13 +193,16 @@ def bound_concentration(c0: float, kin: KineticsParams, t):
     Evaluates the two-exponential closed form, switching to the
     expm1-scaled form within CONFLUENT_REL_TOL of k1 == k2 so the value
     stays finite and non-negative through the confluent point. Accepts a
-    scalar or array time. The validated form of _pair_bhat.
+    scalar or array time. The validated form of _pair_bhat. A rate times
+    a time beyond the float range gives -k t = -inf, so exp(-k t) = 0, its
+    exact value, with no overflow warning.
     """
     if not (math.isfinite(c0) and c0 >= 0.0):
         raise ValidationError(f"c0 must be finite and >= 0, got {c0!r}")
     tt = _as_time_array(t)
     exps = np.empty((2, tt.size))
-    b = _pair_bhat(kin.k1, kin.k2, tt.reshape(-1), c0, exps[0], exps[1], np.empty(tt.size))
+    with np.errstate(over="ignore"):
+        b = _pair_bhat(kin.k1, kin.k2, tt.reshape(-1), c0, exps[0], exps[1], np.empty(tt.size))
     return _match(b.reshape(tt.shape), t)
 
 
@@ -208,10 +211,14 @@ def peak_time(kin: KineticsParams) -> float:
 
     Evaluated as log1p((ka - kb)/kb)/(ka - kb) with (ka, kb) ordered so the
     result is stable near confluence and bitwise symmetric under swapping
-    k1 and k2.
+    k1 and k2. Where (ka - kb)/kb overflows, ka/kb is beyond the float range
+    and ln(ka) - ln(kb) takes the place of the log1p.
     """
     ka, kb = max(kin.k1, kin.k2), min(kin.k1, kin.k2)
     delta = ka - kb
     if delta == 0.0:
         return 1.0 / ka
-    return math.log1p(delta / kb) / delta
+    ratio = delta / kb
+    if math.isinf(ratio):
+        return (math.log(ka) - math.log(kb)) / delta
+    return math.log1p(ratio) / delta

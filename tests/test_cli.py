@@ -2,6 +2,7 @@
 
 import configparser
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_traceio import csv_texts
 
-from spraylink import config, fitting
+from spraylink import config, fitting, traceio
 from spraylink.cli import (
     EXIT_IO,
     EXIT_LOW_CONFIDENCE,
@@ -55,6 +56,14 @@ def test_simulate_gamma_defaults_to_config(tmp_path, capsys):
     assert code == EXIT_OK
     captured = capsys.readouterr().out
     assert "C0 = 0.00136022" in captured
+
+
+def test_simulate_prints_a_finite_peak_time_for_a_rate_near_the_float_maximum(tmp_path, capsys):
+    # k1 / k2 = 2e308 overflowed peak_time's log1p argument, and k1 t the
+    # exponent of exp(-k1 t), which warned
+    code = run(["simulate", "--k1", 1e308, "--k2", 0.5, "--s", 1.0, "--out", tmp_path / "trace.csv"])
+    assert code == EXIT_OK
+    assert "kinetics peak time = 7.09889e-306 s" in capsys.readouterr().out
 
 
 def test_simulate_zero_duration(tmp_path):
@@ -96,6 +105,42 @@ def test_estimate_round_trips_simulated_trace(tmp_path, capsys):
     assert est["canonical"] is True
     out = capsys.readouterr().out
     assert "k1 = " in out and "mse = " in out
+
+
+def test_estimate_writes_the_kept_fits_diagnostics(tmp_path, capsys, monkeypatch):
+    trace_path, est_path = tmp_path / "trace.csv", tmp_path / "est_1.0.json"
+    run(["simulate", "--k1", 2, "--k2", 0.5, "--gamma", 3, "--s", 1.0, "--noise", 0.01, "--out", trace_path])
+    assert run(["estimate", trace_path, "--s", 1.0, "--out", est_path]) == EXIT_OK
+    text = est_path.read_text()
+    data = json.loads(text)
+    # the keys written before diagnostics existed keep their bytes and order
+    keys = ["s", "k1", "k2", "gamma", "mse", "canonical", "low_confidence"]
+    assert list(data) == keys + ["diagnostics"]
+    assert text.startswith(json.dumps({key: data[key] for key in keys}, indent=2)[:-2] + ',\n  "diagnostics": {')
+    cfg = config.load_config()
+    prepared = traceio.preprocess(load_trace(trace_path), t0="0")
+    fit = fitting.estimate_channel_params(prepared, cfg.transmitter, cfg.sensor, 1.0, cfg.search).fit
+    assert data["diagnostics"] == {
+        "termination": fit.termination,
+        "converged": fit.converged,
+        "iterations": fit.iterations,
+        "at_bound": list(fit.at_bound),
+        "jac_condition": fit.jac_condition,
+        "residual_evals": fit.residual_evals,
+        "jacobian_evals": fit.jacobian_evals,
+    }
+    # a condition number that is not finite is written as null
+    lm = fitting.levenberg_marquardt
+    monkeypatch.setattr(fitting, "levenberg_marquardt", lambda problem: dataclasses.replace(lm(problem), jac_condition=math.nan))
+    assert run(["estimate", trace_path, "--s", 1.0, "--out", est_path]) == EXIT_OK
+    data = json.loads(est_path.read_text())
+    assert data["diagnostics"]["jac_condition"] is None
+    json.dumps(data, allow_nan=False)
+    # trend reads estimates with and without diagnostics
+    (tmp_path / "est_1.2.json").write_text(json.dumps({"s": 1.2, "k1": 1.5, "k2": 0.5, "gamma": 5.0, "mse": 1e-4}))
+    capsys.readouterr()
+    assert run(["trend", tmp_path, "--out", tmp_path / "trend.csv"]) == EXIT_OK
+    assert "(2 distances from 2 estimates)" in capsys.readouterr().out
 
 
 def test_estimate_auto_onset_with_offset_baseline(tmp_path):

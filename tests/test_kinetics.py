@@ -73,6 +73,22 @@ def test_peak_time():
     assert peak_time(KineticsParams(2.0, 0.5)) == peak_time(KineticsParams(0.5, 2.0))
 
 
+def test_peak_time_where_the_rate_ratio_overflows():
+    # ka / kb = 1e600: (ka - kb) / kb overflows, and the peak is ln(1e600) / 1e300
+    kin = KineticsParams(1e300, 1e-300)
+    assert peak_time(kin) == pytest.approx(600.0 * math.log(10.0) / 1e300, rel=1e-14)
+    assert peak_time(kin) == peak_time(KineticsParams(1e-300, 1e300))
+
+
+def test_bound_concentration_where_a_rate_times_a_time_overflows():
+    # -k1 t is -inf once k1 t > 1.8e308, and exp(-inf) = 0 is exact; the
+    # overflow warning would fail here, as pytest makes it an error
+    c0, t = 1.3602e-3, np.linspace(0.0, 10.0, 1001)
+    b = bound_concentration(c0, KineticsParams(1e308, 0.5), t)
+    assert b[0] == 0.0
+    np.testing.assert_allclose(b[1:], c0 * np.exp(-0.5 * t[1:]), rtol=1e-12)
+
+
 def test_peak_separates_rise_and_decay():
     kin = KineticsParams(2.0, 0.5)
     t_star = peak_time(kin)
