@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import glob
 import json
 import math
 import os
@@ -25,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import calibration, channel, fitting, sensor, traceio
+from . import channel, fitting, sensor, traceio
 from .config import load_config
 from .errors import NoSignalError, ParseError, SprayLinkError, ValidationError, require_positive
 from .kinetics import KineticsParams, peak_time
@@ -38,6 +37,9 @@ EXIT_IO = 5
 
 # Upper bound on simulate's t-end / dt, checked before any array is allocated.
 MAX_SIMULATE_STEPS = 10_000_000
+
+# The fitted parameters, in the order of FitResult.params and at_bound.
+PARAM_NAMES = ("k1", "k2", "gamma")
 
 # The kept fit's FitResult fields that estimate --out writes under "diagnostics".
 FIT_DIAGNOSTICS = (
@@ -220,16 +222,49 @@ def _json_bool(data, key, default):
     return value
 
 
+def _doubts(data, est) -> list:
+    """Why the fit an estimate file records is in doubt, from its flags and diagnostics."""
+    reasons = []
+    if _json_bool(data, "low_confidence", False):
+        reasons.append("low confidence")
+    if not est.canonical:
+        reasons.append("not canonical")
+    if "diagnostics" not in data:
+        return reasons
+    diag = data["diagnostics"]
+    if not isinstance(diag, dict):
+        raise ValueError(f"diagnostics must be an object, got {json.dumps(diag)}")
+    if not _json_bool(diag, "converged", None):
+        reasons.append("not converged")
+    at_bound = diag["at_bound"]
+    if not (isinstance(at_bound, list) and len(at_bound) == len(PARAM_NAMES)
+            and all(isinstance(hit, bool) for hit in at_bound)):
+        raise ValueError(f"at_bound must be {len(PARAM_NAMES)} booleans, got {json.dumps(at_bound)}")
+    if any(at_bound):
+        reasons.append("at a bound: " + ", ".join(
+            name for name, hit in zip(PARAM_NAMES, at_bound) if hit))
+    if diag["jac_condition"] is None:
+        reasons.append("jac_condition not finite")
+    else:
+        cond = _json_number(diag, "jac_condition")
+        if not cond <= fitting.RANK_DEFICIENT_COND:
+            reasons.append(f"jac_condition {cond:.6g} above {fitting.RANK_DEFICIENT_COND:.6g}")
+    return reasons
+
+
 def _cmd_trend(cfg, args) -> int:
+    import glob  # here, not at the top: the other commands start without it
+
     if not os.path.isdir(args.estimates_dir):
         raise ParseError("estimates directory not found", path=args.estimates_dir)
     paths = sorted(glob.glob(os.path.join(glob.escape(args.estimates_dir), "*.json")))
-    pairs = []
+    pairs, doubts = [], []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:  # bad JSON or UTF-8, or an int of too many digits
+            # bad JSON or UTF-8, an int of too many digits, or nesting too deep to parse
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(f"bad JSON: {exc}", path=path) from exc
         try:
             est = fitting.ChannelEstimate(
@@ -242,9 +277,14 @@ def _cmd_trend(cfg, args) -> int:
             s = _json_number(data, "s")
             require_positive("distance s", s)
             pairs.append((s, est))
+            reasons = _doubts(data, est)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"estimate file is invalid: {exc}", path=path) from exc
+        if reasons:
+            doubts.append(f"warning: {path}: {'; '.join(reasons)}")
     report = fitting.distance_trend(pairs)
+    for line in doubts:
+        print(line, file=sys.stderr)
     lines = ["s_m,n,k1_mean,k1_std,k2_mean,k2_std,gamma_mean,gamma_std"]
     for r in report.rows:
         lines.append(
@@ -253,12 +293,14 @@ def _cmd_trend(cfg, args) -> int:
         )
     traceio.atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(report.rows)} distances from {len(pairs)} estimates)")
-    for name in ("k1", "k2", "gamma"):
+    for name in PARAM_NAMES:
         print(f"{name}: {report.verdicts[name]}")
     return EXIT_OK
 
 
 def _cmd_flow_rate(cfg, args) -> int:
+    from . import calibration  # here, not at the top: the other commands start without it
+
     measurements = calibration.load_mass_measurements(args.measurements)
     report = calibration.flow_rate(measurements, args.rho_d)
     for i, q in enumerate(report.per_measurement, start=1):

@@ -13,7 +13,6 @@ CLI is invoked without --config.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
 import math
 import os
@@ -81,6 +80,8 @@ def load_config(path=None) -> RunConfig:
         return DEFAULT_CONFIG
     if not os.path.exists(path):
         raise ParseError("config file not found", path=path)
+    import configparser  # here, not at the top: a run without a config file starts without it
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -337,6 +337,70 @@ def test_trend_refuses_wrong_json_types(tmp_path, capsys, key, value):
     assert not out_csv.exists()
 
 
+_DIAGNOSTICS = {"termination": "gradient", "converged": True, "iterations": 5, "at_bound": [False] * 3,
+                "jac_condition": 25.0, "residual_evals": 10, "jacobian_evals": 8}
+
+
+def _write_estimates(est_dir, doubtful):
+    """Four estimate files; est_1.json and est_2.json carry the fields in doubtful."""
+    est_dir.mkdir()
+    for i, s in enumerate((0.9, 1.0, 1.1, 1.2)):
+        payload = {"s": s, "k1": 5.0 - i, "k2": 0.5, "gamma": 3.0, "mse": 1e-4, "canonical": True,
+                   "low_confidence": False, "diagnostics": dict(_DIAGNOSTICS)}
+        for key, value in doubtful.get(i, {}).items():
+            target = payload if key in payload else payload["diagnostics"]
+            target[key] = value
+        (est_dir / f"est_{i}.json").write_text(json.dumps(payload))
+    (est_dir / "old.json").write_text(json.dumps({"s": 1.2, "k1": 2.0, "k2": 0.5, "gamma": 3.0}))
+
+
+def test_trend_warns_of_each_doubtful_estimate_it_averages(tmp_path, capsys):
+    _write_estimates(tmp_path / "clean", {})
+    assert run(["trend", tmp_path / "clean", "--out", tmp_path / "clean.csv"]) == EXIT_OK
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    doubtful = {
+        1: {"low_confidence": True, "canonical": False, "converged": False,
+            "at_bound": [True, False, True], "jac_condition": None},
+        2: {"jac_condition": 2e8},
+        3: {"jac_condition": 1e8},  # RANK_DEFICIENT_COND itself is not above it
+    }
+    est_dir = tmp_path / "doubtful"
+    _write_estimates(est_dir, doubtful)
+    assert run(["trend", est_dir, "--out", tmp_path / "doubtful.csv"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == (
+        f"warning: {est_dir / 'est_1.json'}: low confidence; not canonical; not converged; "
+        "at a bound: k1, gamma; jac_condition not finite\n"
+        f"warning: {est_dir / 'est_2.json'}: jac_condition 2e+08 above 1e+08\n"
+    )
+    # the table, stdout and the exit code are those of the same estimates without doubts
+    assert out == clean.out.replace("clean", "doubtful")
+    assert (tmp_path / "doubtful.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("low_confidence", "null"), ("diagnostics", "[]"), ("diagnostics", "null"),
+     ("converged", '"true"'), ("converged", "1"), ("at_bound", "true"), ("at_bound", "[0, 0, 0]"),
+     ("at_bound", "[false, false]"), ("jac_condition", '"1e9"'), ("jac_condition", "false")],
+)
+def test_trend_refuses_diagnostics_of_wrong_json_types(tmp_path, capsys, key, value):
+    est_dir = tmp_path / "estimates"
+    _write_estimates(est_dir, {})
+    path = est_dir / "est_1.json"
+    data = json.loads(path.read_text())
+    target = data if key in data else data["diagnostics"]
+    target[key] = json.loads(value)
+    path.write_text(json.dumps(data))
+    out_csv = tmp_path / "trend.csv"
+    assert run(["trend", est_dir, "--out", out_csv]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: estimate file is invalid: {key} must be"), err
+    assert err.count("\n") == 1
+    assert not out_csv.exists()
+
+
 def test_trend_refuses_means_that_overflow(tmp_path, capsys):
     # valid estimates near the float maximum: the k1 mean at s = 1 overflows
     est_dir = tmp_path / "estimates"
@@ -547,6 +611,9 @@ HOSTILE_INPUTS = {
         ["trend", "est", "--out", "out.csv"], EXIT_IO),
     "estimate_integer_of_too_many_digits": (
         {"est/e.json": b'{"s": 1.0, "k1": 1' + b"0" * 5000 + b', "k2": 0.5, "gamma": 3.0}'},
+        ["trend", "est", "--out", "out.csv"], EXIT_IO),
+    "estimate_nested_too_deep": (
+        {"est/e.json": b'{"s": 1, "k1": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"},
         ["trend", "est", "--out", "out.csv"], EXIT_IO),
     "estimate_canonical_string": (
         {"est/e.json": b'{"s": 1.0, "k1": 2.0, "k2": 0.5, "gamma": 3.0, "mse": 1e-6, '
