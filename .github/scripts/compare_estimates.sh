@@ -6,7 +6,10 @@
 #
 # Each tree is a checkout whose src/ holds spraylink. The corpus, simulated
 # once with HEAD_TREE: the four criterion-10 distances at 1001 samples and
-# sigma = 0.01 V, plus one 20001-sample trace.
+# sigma = 0.01 V, plus one 20001-sample trace; then confluent truths
+# (k1 = k2 = 1.5, and k2 one relative 1e-7 off it, inside the confluent form
+# of B(t)), whose fits end on the step test after about 80-90 residual
+# evaluations and so show the first change in rounding.
 set -eu
 base=$1
 head=$2
@@ -18,7 +21,10 @@ corpus='s0.9 0.9 --k1 3.0 --k2 0.5 --gamma 2.0 --noise 0.01 --seed 1
 s1.0 1.0 --k1 2.5 --k2 0.5 --gamma 3.0 --noise 0.01 --seed 2
 s1.1 1.1 --k1 2.0 --k2 0.5 --gamma 4.0 --noise 0.01 --seed 3
 s1.2 1.2 --k1 1.5 --k2 0.5 --gamma 5.0 --noise 0.01 --seed 4
-s1.0_n20001 1.0 --k1 2.0 --k2 0.5 --gamma 3.0 --noise 0.01 --seed 5 --dt 0.0005'
+s1.0_n20001 1.0 --k1 2.0 --k2 0.5 --gamma 3.0 --noise 0.01 --seed 5 --dt 0.0005
+confluent 1.0 --k1 1.5 --k2 1.5 --gamma 2.0 --noise 0.01 --seed 6
+confluent_n20001 1.0 --k1 1.5 --k2 1.5 --gamma 2.0 --noise 0.01 --seed 6 --dt 0.0005
+near_confluent 1.0 --k1 1.5 --k2 1.50000015 --gamma 2.0 --noise 0.01 --seed 6'
 
 echo "$corpus" | while read -r name s args; do
     # shellcheck disable=SC2086  # args is a list of words

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow-rate", help="average flow rate from mass measurements")
     p.add_argument("measurements", help="CSV with mass_before_kg,mass_after_kg,dt_s")
-    p.add_argument("--rho-d", type=float, default=789.0, help="liquid density, kg/m^3")
+    p.add_argument("--rho-d", type=float, default=None, help="liquid density, kg/m^3 (default: config)")
 
     return parser
 
@@ -203,11 +203,19 @@ def _cmd_fit_sensitivity(cfg, args) -> int:
     return EXIT_OK
 
 
+def _json_kind(value) -> str:
+    """A parsed JSON value as errors name it: an array or object by type, else its literal, cut to 40 chars."""
+    if isinstance(value, (list, dict)):
+        return "an array" if isinstance(value, list) else "an object"
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _json_number(data, key, default=None):
     """data[key] (or default where it is missing), which must be a JSON number, as a float."""
     value = data[key] if default is None else data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+        raise ValueError(f"{key} must be a number, got {_json_kind(value)}")
     try:
         return float(value)
     except OverflowError:  # an int literal beyond float's range
@@ -218,7 +226,7 @@ def _json_bool(data, key, default):
     """data[key] (or default where it is missing), which must be a JSON boolean."""
     value = data.get(key, default)
     if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {json.dumps(value)}")
+        raise ValueError(f"{key} must be true or false, got {_json_kind(value)}")
     return value
 
 
@@ -233,13 +241,13 @@ def _doubts(data, est) -> list:
         return reasons
     diag = data["diagnostics"]
     if not isinstance(diag, dict):
-        raise ValueError(f"diagnostics must be an object, got {json.dumps(diag)}")
+        raise ValueError(f"diagnostics must be an object, got {_json_kind(diag)}")
     if not _json_bool(diag, "converged", None):
         reasons.append("not converged")
     at_bound = diag["at_bound"]
     if not (isinstance(at_bound, list) and len(at_bound) == len(PARAM_NAMES)
             and all(isinstance(hit, bool) for hit in at_bound)):
-        raise ValueError(f"at_bound must be {len(PARAM_NAMES)} booleans, got {json.dumps(at_bound)}")
+        raise ValueError(f"at_bound must be {len(PARAM_NAMES)} booleans, got {_json_kind(at_bound)}")
     if any(at_bound):
         reasons.append("at a bound: " + ", ".join(
             name for name, hit in zip(PARAM_NAMES, at_bound) if hit))
@@ -302,7 +310,8 @@ def _cmd_flow_rate(cfg, args) -> int:
     from . import calibration  # here, not at the top: the other commands start without it
 
     measurements = calibration.load_mass_measurements(args.measurements)
-    report = calibration.flow_rate(measurements, args.rho_d)
+    rho_d = args.rho_d if args.rho_d is not None else cfg.transmitter.rho_d
+    report = calibration.flow_rate(measurements, rho_d)
     for i, q in enumerate(report.per_measurement, start=1):
         print(f"measurement {i}: Q = {q:.6g} m^3/s")
     print(f"mean Q = {report.q:.6g} m^3/s")

@@ -7,6 +7,11 @@ radians everywhere else. A key that a known section does not list raises
 ValidationError; other sections and [DEFAULT] keys are not checked. A
 missing file, or one that is not UTF-8 INI text, raises ParseError.
 
+Each _KEYS row is (section, key, object, field, parse): the key sets that
+field of the transmitter, sens (the sensitivity curve), sensor or search.
+Each of these is rebuilt and validated once, in that order, with all of its
+new values, so where several get invalid values the first gives the error.
+
 The SPRAYLINK_CONFIG environment variable supplies a default path when the
 CLI is invoked without --config.
 """
@@ -43,28 +48,28 @@ DEFAULT_CONFIG = RunConfig(
     search=SearchConfig(),
 )
 
-# Every key the file may set: (section, key, the RunConfig field it sets, parse).
+# Every key the file may set (see the module doc for the row shape).
 _KEYS = (
-    ("transmitter", "q_m3_per_s", "transmitter.q", float),
-    ("transmitter", "te_s", "transmitter.te", float),
-    ("transmitter", "rho_d_kg_per_m3", "transmitter.rho_d", float),
-    ("transmitter", "theta_deg", "transmitter.theta", lambda raw: math.radians(float(raw))),
-    ("transmitter", "gamma", "transmitter.gamma", float),
-    ("sensor", "a", "sensor.sens.a", float),
-    ("sensor", "b", "sensor.sens.b", float),
-    ("sensor", "c", "sensor.sens.c", float),
-    ("sensor", "ein_v", "sensor.ein", float),
-    ("sensor", "rl_ohm", "sensor.rl", float),
-    ("sensor", "ro_ohm", "sensor.ro", float),
-    ("search", "k_min", "search.k_min", float),
-    ("search", "k_max", "search.k_max", float),
-    ("search", "gamma_min", "search.gamma_min", float),
-    ("search", "gamma_max", "search.gamma_max", float),
-    ("search", "k_grid", "search.k_grid", int),
-    ("search", "gamma_grid", "search.gamma_grid", int),
-    ("search", "refine_top", "search.refine_top", int),
-    ("search", "mse_threshold", "search.mse_threshold", float),
-    ("search", "flat_floor_v", "search.flat_floor_v", float),
+    ("transmitter", "q_m3_per_s", "transmitter", "q", float),
+    ("transmitter", "te_s", "transmitter", "te", float),
+    ("transmitter", "rho_d_kg_per_m3", "transmitter", "rho_d", float),
+    ("transmitter", "theta_deg", "transmitter", "theta", lambda raw: math.radians(float(raw))),
+    ("transmitter", "gamma", "transmitter", "gamma", float),
+    ("sensor", "a", "sens", "a", float),
+    ("sensor", "b", "sens", "b", float),
+    ("sensor", "c", "sens", "c", float),
+    ("sensor", "ein_v", "sensor", "ein", float),
+    ("sensor", "rl_ohm", "sensor", "rl", float),
+    ("sensor", "ro_ohm", "sensor", "ro", float),
+    ("search", "k_min", "search", "k_min", float),
+    ("search", "k_max", "search", "k_max", float),
+    ("search", "gamma_min", "search", "gamma_min", float),
+    ("search", "gamma_max", "search", "gamma_max", float),
+    ("search", "k_grid", "search", "k_grid", int),
+    ("search", "gamma_grid", "search", "gamma_grid", int),
+    ("search", "refine_top", "search", "refine_top", int),
+    ("search", "mse_threshold", "search", "mse_threshold", float),
+    ("search", "flat_floor_v", "search", "flat_floor_v", float),
 )
 
 
@@ -94,36 +99,22 @@ def load_config(path=None) -> RunConfig:
 
 
 def _from_parser(parser) -> RunConfig:
-    known = {(section, key) for section, key, _, _ in _KEYS}
+    known = {(section, key) for section, key, *_ in _KEYS}
     sections = {section for section, _ in known}
     for section in parser.sections():
         for key in parser.options(section):
             # [DEFAULT] keys reach every section, and may serve only interpolation
             if section in sections and (section, key) not in known and key not in parser.defaults():
                 raise ValidationError(f"[{section}] {key} is not a known key")
-    values = {}  # field -> value, for each key the file sets
-    for section, key, name, parse in _KEYS:
+    values = {"transmitter": {}, "sens": {}, "sensor": {}, "search": {}}  # the fields the file sets
+    for section, key, target, name, parse in _KEYS:
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
-                values[name] = parse(raw)
+                values[target][name] = parse(raw)
             except ValueError as exc:
                 raise ValidationError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    return _replaced(DEFAULT_CONFIG, "", values)
-
-
-def _replaced(obj, prefix: str, values: dict):
-    """obj with every field named prefix + its name in values set to that value.
-
-    Nested dataclasses are rebuilt first, and each is validated once, with
-    all of its new values.
-    """
-    changes = {}
-    for f in dataclasses.fields(obj):
-        name = prefix + f.name
-        value = getattr(obj, f.name)
-        if dataclasses.is_dataclass(value):
-            changes[f.name] = _replaced(value, f"{name}.", values)
-        elif name in values:
-            changes[f.name] = values[name]
-    return dataclasses.replace(obj, **changes)
+    transmitter = dataclasses.replace(DEFAULT_CONFIG.transmitter, **values["transmitter"])
+    sens = dataclasses.replace(DEFAULT_CONFIG.sensor.sens, **values["sens"])
+    sensor = dataclasses.replace(DEFAULT_CONFIG.sensor, sens=sens, **values["sensor"])
+    return RunConfig(transmitter, sensor, dataclasses.replace(DEFAULT_CONFIG.search, **values["search"]))

@@ -690,14 +690,13 @@ def _grid_cells(
             bhat_buf = np.empty(rows * size)
         return bhat_buf[: rows * size].reshape(rows, size)
 
-    def add_pieces(t, meas, cells, sums):
+    def add_pieces(t, meas, live, cells, sums):
         """Add the squared errors at times t of the (gamma, pair) cells set in cells to sums.
 
-        The live pairs times t.size fit block_buf. Their Bhat, in bhat_buf,
-        is folded into their peak and smallest positive Bhat, and its power
-        goes to add_powers.
+        live holds the pairs of the cells set, and live.size times t.size
+        fit block_buf. Their Bhat, in bhat_buf, is folded into their peak
+        and smallest positive Bhat, and its power goes to add_powers.
         """
-        live = np.flatnonzero(cells.any(axis=0))
         bhat = bhat_rows(live.size, t.size)
         if live.size == pairs:  # every pair: no gathers
             kin_mod._bhat(k_nodes, t, bhat.reshape(k, k, t.size))
@@ -757,9 +756,9 @@ def _grid_cells(
         """
         start = 0
         while start < n and cells.any():
-            live = np.count_nonzero(cells.any(axis=0))
-            stop = min(start + block_buf.size // live // piece * piece, n)
-            add_pieces(times[start:stop], meas_v[start:stop], cells, sums)
+            live = np.flatnonzero(cells.any(axis=0))
+            stop = min(start + block_buf.size // live.size // piece * piece, n)
+            add_pieces(times[start:stop], meas_v[start:stop], live, cells, sums)
             cells &= ~(sums > bound)
             start = stop
 
@@ -884,7 +883,6 @@ class _TraceFit:
 
     def problem(self, x0, search: SearchConfig) -> FitProblem:
         """The bounded LM problem started at x0 = (k1, k2, gamma)."""
-        x0 = np.asarray(x0, dtype=float)
         return FitProblem(
             residual=self.residual,
             bounds=(

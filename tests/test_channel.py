@@ -38,6 +38,10 @@ def test_transmitter_validation():
         TransmitterSpec(q=1e-6, te=0.5, rho_d=789.0, theta=0.5, gamma=0.5)
 
 
+def test_transmitter_mass(bench_tx):
+    assert bench_tx.mass == bench_tx.q * bench_tx.te * bench_tx.rho_d == 2.204e-6 * 0.5 * 789.0
+
+
 def test_cone_geometry():
     g = geom()
     assert g.v_c == pytest.approx(math.pi / 3.0 * math.tan(g.theta) ** 2, rel=1e-12)
@@ -172,6 +176,12 @@ def test_sample_response_validation(bench_tx, bench_sensor):
         sample_response(bench_tx, kin, bench_sensor, 1.0, [0.0, 2.0, 1.0])
     with pytest.raises(ValidationError):
         sample_response(bench_tx, kin, bench_sensor, 1.0, [-1.0, 0.0])
+    # every class of invalid time grid: 2-D (also empty), 0-D, negative,
+    # NaN, inf, non-increasing, duplicated
+    for times in ([[0.0, 1.0], [2.0, 3.0]], [[]], 1.0, [0.0, -1.0], [0.0, math.nan],
+                  [0.0, math.inf], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]):
+        with pytest.raises(ValidationError):
+            sample_response(bench_tx, kin, bench_sensor, 1.0, times)
 
 
 _STEEP = SensitivityCoeffs(a=1e-13, b=-5.0, c=0.01)

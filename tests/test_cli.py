@@ -337,6 +337,28 @@ def test_trend_refuses_wrong_json_types(tmp_path, capsys, key, value):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, named",
+    [("k1", "[" * 900 + "]" * 900, "k1 must be a number, got an array"),
+     ("k1", json.dumps(list(range(100_000))), "k1 must be a number, got an array"),
+     ("gamma", json.dumps({"x": "y" * 10_000}), "gamma must be a number, got an object"),
+     ("k2", json.dumps("9" * 10_000), 'k2 must be a number, got "' + "9" * 36 + "..."),
+     ("canonical", "1" * 400, "canonical must be true or false, got " + "1" * 37 + "..."),
+     ("diagnostics", json.dumps([True] * 100_000), "diagnostics must be an object, got an array")],
+    ids=["nested", "long array", "object", "long string", "long number", "diagnostics"],
+)
+def test_trend_names_a_wrong_value_by_its_type_and_cuts_its_text(tmp_path, capsys, key, value, named):
+    est_dir = tmp_path / "estimates"
+    est_dir.mkdir()
+    for name, s in (("a.json", 1.0), ("b.json", 1.1)):
+        payload = {"s": s, "k1": 2.0, "k2": 0.5, "gamma": 3.0, "canonical": True}
+        text = json.dumps(dict(payload, **{key: None}) if name == "b.json" else payload)
+        (est_dir / name).write_text(text.replace(f'"{key}": null', f'"{key}": {value}'))
+    assert run(["trend", est_dir, "--out", tmp_path / "trend.csv"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == f"error: {est_dir / 'b.json'}: estimate file is invalid: {named}\n"
+
+
 _DIAGNOSTICS = {"termination": "gradient", "converged": True, "iterations": 5, "at_bound": [False] * 3,
                 "jac_condition": 25.0, "residual_evals": 10, "jacobian_evals": 8}
 
@@ -450,6 +472,20 @@ def test_flow_rate_command(tmp_path, capsys):
     assert run(["flow-rate", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "mean Q = 2.20401e-06" in out
+
+
+def test_flow_rate_density_defaults_to_the_config(tmp_path, capsys):
+    path = tmp_path / "mass.csv"
+    path.write_text("mass_before_kg,mass_after_kg,dt_s\n1.0,0.99913052,0.5\n")
+    water = tmp_path / "water.ini"
+    water.write_text("[transmitter]\nrho_d_kg_per_m3 = 1000\n")
+    outs = []
+    for argv in (["--config", water, "flow-rate", path], ["flow-rate", path, "--rho-d", 1000],
+                 ["--config", water, "flow-rate", path, "--rho-d", 789], ["flow-rate", path]):
+        assert run(argv) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert "mean Q = 1.73896e-06" in outs[0] and "mean Q = 2.20401e-06" in outs[3]
+    assert outs[0] == outs[1] and outs[2] == outs[3]
 
 
 def test_flow_rate_bad_file(tmp_path, capsys):
@@ -571,6 +607,23 @@ def test_no_config_an_empty_one_and_one_of_defaults_load_equal(tmp_path, monkeyp
 
 
 
+def test_config_refusals_follow_the_object_order(tmp_path):
+    # an invalid value for each of the transmitter, the sensitivity curve, the
+    # sensor and the search: the first object's error wins
+    refusals = [("transmitter", "te_s = -1", "te must be finite and > 0"),
+                ("sensor", "c = nan", "c must be finite"),
+                ("sensor", "ein_v = -5", "ein must be finite and > 0"),
+                ("search", "k_grid = 1", "grid sizes must be >= 2")]
+    for first in range(len(refusals)):
+        sections = {}
+        for section, line, _ in refusals[first:]:
+            sections.setdefault(section, []).append(line)
+        text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+        (tmp_path / "bad.ini").write_text(text)
+        with pytest.raises(ValidationError, match=refusals[first][2]):
+            config.load_config(tmp_path / "bad.ini")
+
+
 def test_a_key_its_section_does_not_list_is_refused_by_name(tmp_path):
     (tmp_path / "typo.ini").write_text("[search]\nk_gird = 12\n")
     with pytest.raises(ValidationError, match=r"^\[search\] k_gird "):
@@ -659,6 +712,12 @@ HOSTILE_INPUTS = {
     "estimate_t0_after_trace": (
         {"t.csv": b"time_s,voltage_v\n0.0,0.0\n0.1,0.4\n0.2,0.1\n0.3,0.05\n"},
         ["estimate", "t.csv", "--s", "1", "--t0", "5"], EXIT_VALIDATION),
+    "simulate_dt_zero": (
+        {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--dt", "0", "--out", "out.csv"],
+        EXIT_VALIDATION),
+    "simulate_t_end_negative": (
+        {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--t-end", "-1", "--out", "out.csv"],
+        EXIT_VALIDATION),
     "simulate_negative_seed": (
         {}, ["simulate", "--k1", "2", "--k2", "0.5", "--s", "1", "--noise", "0.01",
              "--seed", "-1", "--out", "out.csv"], EXIT_VALIDATION),

@@ -91,19 +91,38 @@ def test_lm_linear_residual():
     assert result.params[0] == pytest.approx(3.0, abs=1e-9)
 
 
-def test_lm_power_law_recovery():
-    truth = (0.0116, -0.5855, -0.0743)
+def _power_law_problem(truth):
     x = np.logspace(math.log10(5e-5), math.log10(1e-2), 50)
     y = truth[0] * x ** truth[1] + truth[2]
-
-    problem = FitProblem(
+    return FitProblem(
         residual=lambda p: p[0] * x ** p[1] + p[2] - y,
         jacobian=lambda p: np.column_stack((x ** p[1], p[0] * x ** p[1] * np.log(x), np.ones_like(x))),
         bounds=((1e-8, 10.0), (-5.0, -0.01), (-10.0, 10.0)),
         x0=np.array([0.01, -0.5, 0.0]),
     )
-    result = levenberg_marquardt(problem)
+
+
+def test_lm_power_law_recovery():
+    truth = (0.0116, -0.5855, -0.0743)
+    result = levenberg_marquardt(_power_law_problem(truth))
     assert result.converged
+    rel = np.abs(result.params - np.array(truth)) / np.abs(truth)
+    assert np.max(rel) < 1e-6
+
+
+def test_lm_takes_a_least_squares_step_where_solve_fails(monkeypatch):
+    solve, calls = np.linalg.solve, []
+
+    def fails_once(a, b):
+        calls.append(a)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fails_once)
+    truth = (0.0116, -0.5855, -0.0743)
+    result = levenberg_marquardt(_power_law_problem(truth))
+    assert len(calls) > 1 and result.converged
     rel = np.abs(result.params - np.array(truth)) / np.abs(truth)
     assert np.max(rel) < 1e-6
 
@@ -324,6 +343,10 @@ def test_lm_input_validation():
     )
     with pytest.raises(ValidationError):
         levenberg_marquardt(problem)
+    for bounds, x0, match in ((((1.0, 1.0),), [1.0], "lo < hi"), (((1.0, 0.0),), [0.5], "lo < hi"),
+                              (((0.0, 1.0), (0.0, 1.0)), [0.5], "matching length")):
+        with pytest.raises(ValidationError, match=match):
+            FitProblem(residual=lambda p: p, jacobian=_unit_jacobian, bounds=bounds, x0=x0)
 
 
 def test_lm_probes_stay_inside_a_box_narrower_than_the_fd_step():
@@ -1241,6 +1264,13 @@ def test_fit_makes_a_quarter_of_the_residual_calls(bench_tx, bench_sensor):
         {"mse_threshold": -0.1},
         {"flat_floor_v": math.nan},
         {"flat_floor_v": -1e-3},
+        {"k_min": 0.0},
+        {"k_min": 50.0},
+        {"gamma_min": 0.5},
+        {"gamma_min": 25.0},
+        {"k_grid": 1},
+        {"gamma_grid": 1},
+        {"refine_top": 0},
     ],
 )
 def test_search_config_refuses(kwargs):
@@ -1331,6 +1361,19 @@ def test_trend_duplicate_distances_averaged():
     assert row.n == 2
     assert row.k1_mean == 3.0
     assert row.k1_std == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def test_trend_neither_flat_nor_monotone():
+    pairs = [(0.9, _estimate(2.0, 0.5)), (1.0, _estimate(4.0, 0.5)), (1.1, _estimate(3.0, 0.5))]
+    assert distance_trend(pairs).verdicts["k1"] == "non-monotonic"
+
+
+def test_channel_estimate_validation():
+    with pytest.raises(ValidationError, match="gamma must be >= 1"):
+        ChannelEstimate(k1=2.0, k2=0.5, gamma=0.5, canonical=True, mse=0.0)
+    with pytest.raises(ValidationError, match="canonical estimate requires k1 >= k2"):
+        ChannelEstimate(k1=0.5, k2=2.0, gamma=3.0, canonical=True, mse=0.0)
+    assert not ChannelEstimate(k1=0.5, k2=2.0, gamma=3.0, canonical=False, mse=0.0).canonical
 
 
 def test_trend_single_distance_rejected():

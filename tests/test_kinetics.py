@@ -64,6 +64,9 @@ def test_free_concentration():
     assert free_concentration(1.3602e-3, kin, 1.0) == pytest.approx(
         1.840830522584406e-4, rel=1e-10
     )
+    for c0 in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="c0 must be finite and >= 0"):
+            free_concentration(c0, kin, 1.0)
 
 
 def test_peak_time():

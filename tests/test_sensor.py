@@ -10,6 +10,7 @@ from spraylink.sensor import (
     DETECTION_SCOPE,
     MQ3_SENSITIVITY,
     SensitivityCoeffs,
+    SensitivityTable,
     SensorSpec,
     bundled_sensitivity_table,
     concentration_from_voltage,
@@ -57,6 +58,21 @@ def test_coeffs_validation():
     # curve dips non-positive inside the detection scope
     with pytest.raises(ValidationError):
         SensitivityCoeffs(a=0.0116, b=-0.5855, c=-0.5)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="c must be finite"):
+            SensitivityCoeffs(a=0.0116, b=-0.5855, c=c)
+
+
+@pytest.mark.parametrize(
+    "conc, ratio, match",
+    [([[1e-4, 2e-4]], [[1.5, 1.2]], "1-D and equal length"),
+     ([1e-4, 2e-4], [1.5], "1-D and equal length"),
+     ([1e-4, math.nan], [1.5, 1.2], "must be finite"),
+     ([1e-4, 2e-4], [1.5, math.inf], "must be finite")],
+)
+def test_table_validation(conc, ratio, match):
+    with pytest.raises(ValidationError, match=match):
+        SensitivityTable(conc, ratio)
 
 
 def test_resistance_from_voltage(bench_sensor):

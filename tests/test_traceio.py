@@ -36,6 +36,9 @@ def test_trace_validation():
         make_trace([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(ValidationError):
         make_trace([0.0, 1.0], [0.0, np.nan])
+    for times, volts in (([[0.0, 1.0]], [[0.0, 1.0]]), ([0.0, 1.0], [0.0]), (0.0, 0.0)):
+        with pytest.raises(ValidationError, match="1-D and equal length"):
+            make_trace(times, volts)
     empty = make_trace([], [])
     assert len(empty) == 0
     t = make_trace([0.0, 0.5], [0.1, 0.2])
@@ -518,6 +521,8 @@ def test_detect_onset():
     flat = make_trace(t, np.full_like(t, 0.7))
     with pytest.raises(NoSignalError):
         detect_onset(flat)
+    with pytest.raises(ValidationError, match="at least 3 samples"):
+        detect_onset(make_trace([0.0, 0.1], [0.0, 1.0]))
 
 
 def test_resample_identity():
@@ -532,6 +537,8 @@ def test_resample_midpoint_and_extrapolation():
     assert resample(trace, [0.5]).volts[0] == 0.5
     with pytest.raises(ValidationError):
         resample(trace, [0.5, 1.5])
+    with pytest.raises(ValidationError, match="empty trace"):
+        resample(make_trace([], []), [])
 
 
 def test_resample_interpolation_error_bound(bench_tx, bench_sensor):
